@@ -139,12 +139,12 @@ int main() {
       SimilarGenStats stats_plain, stats_filter;
       Stopwatch t1;
       (void)SimilarResultsGen(spec.graph, built.spigs, cands, sigma,
-                              bench.db, nullptr, &stats_plain, 0, nullptr,
+                              bench.db, nullptr, &stats_plain, 0,
                               /*filtering_verifier=*/false);
       double plain_s = t1.ElapsedSeconds();
       Stopwatch t2;
       (void)SimilarResultsGen(spec.graph, built.spigs, cands, sigma,
-                              bench.db, nullptr, &stats_filter, 0, nullptr,
+                              bench.db, nullptr, &stats_filter, 0,
                               /*filtering_verifier=*/true);
       double filter_s = t2.ElapsedSeconds();
       table.AddRow({spec.name, FmtMs(plain_s), FmtMs(filter_s),

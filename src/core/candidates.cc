@@ -1,18 +1,14 @@
 #include "core/candidates.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace prague {
 
-namespace {
-
-// Algorithm 3 against any FSG source — the full indexes or one shard's
-// slices. `a2f(id)` / `a2i(id)` return the (possibly sliced) FSG id set.
-template <typename A2fFn, typename A2iFn>
-IdSet ResolveSubCandidates(const SpigVertex& v, const A2fFn& a2f,
-                           const A2iFn& a2i) {
-  if (v.frag.freq_id) return a2f(*v.frag.freq_id);
-  if (v.frag.dif_id) return a2i(*v.frag.dif_id);
+IdSet ExactSubCandidates(const SpigVertex& v,
+                         const ActionAwareIndexes& indexes) {
+  if (v.frag.freq_id) return indexes.a2f.FsgIds(*v.frag.freq_id);
+  if (v.frag.dif_id) return indexes.a2i.FsgIds(*v.frag.dif_id);
   // NIF: intersect the FSG ids of every recorded frequent (|g|−1)-subgraph
   // and every recorded DIF subgraph — smallest set first, stopping as
   // soon as the running intersection empties.
@@ -21,24 +17,9 @@ IdSet ResolveSubCandidates(const SpigVertex& v, const A2fFn& a2f,
   }
   std::vector<const IdSet*> sets;
   sets.reserve(v.frag.phi.size() + v.frag.upsilon.size());
-  for (A2fId fid : v.frag.phi) sets.push_back(&a2f(fid));
-  for (A2iId did : v.frag.upsilon) sets.push_back(&a2i(did));
+  for (A2fId fid : v.frag.phi) sets.push_back(&indexes.a2f.FsgIds(fid));
+  for (A2iId did : v.frag.upsilon) sets.push_back(&indexes.a2i.FsgIds(did));
   return IdSet::IntersectMany(std::move(sets));
-}
-
-}  // namespace
-
-IdSet ExactSubCandidates(const SpigVertex& v,
-                         const ActionAwareIndexes& indexes) {
-  return ResolveSubCandidates(
-      v, [&](A2fId id) -> const IdSet& { return indexes.a2f.FsgIds(id); },
-      [&](A2iId id) -> const IdSet& { return indexes.a2i.FsgIds(id); });
-}
-
-IdSet ExactSubCandidates(const SpigVertex& v, const IndexShard& shard) {
-  return ResolveSubCandidates(
-      v, [&](A2fId id) -> const IdSet& { return shard.A2fFsgIds(id); },
-      [&](A2iId id) -> const IdSet& { return shard.A2iFsgIds(id); });
 }
 
 const IdSet& CachedSubCandidates(const SpigVertex& v,
@@ -104,16 +85,12 @@ SimilarCandidates SimilarCandidates::Restrict(GraphId begin,
   return out;
 }
 
-namespace {
-
-// The Algorithm-4 level walk over any per-vertex resolver
-// `IdSet resolve(const SpigVertex&)`.
-template <typename ResolveFn>
-SimilarCandidates DeriveSimilarCandidates(const SpigSet& spigs,
-                                          size_t query_size, int sigma,
-                                          const Deadline& deadline,
-                                          bool* truncated,
-                                          const ResolveFn& resolve) {
+SimilarCandidates SimilarSubCandidates(const SpigSet& spigs,
+                                       size_t query_size, int sigma,
+                                       const ActionAwareIndexes& indexes,
+                                       bool use_cache,
+                                       const Deadline& deadline,
+                                       bool* truncated) {
   SimilarCandidates out;
   const bool bounded = deadline.CanExpire();
   int q = static_cast<int>(query_size);
@@ -129,41 +106,14 @@ SimilarCandidates DeriveSimilarCandidates(const SpigSet& spigs,
         level, [&](const Spig&, const SpigVertex& v) {
           IdSet& target =
               v.frag.IsFrequent() || v.frag.IsDif() ? free_ids : ver_ids;
-          target.UnionWith(resolve(v));
+          target.UnionWith(use_cache ? CachedSubCandidates(v, indexes)
+                                     : ExactSubCandidates(v, indexes));
         });
     ver_ids.SubtractWith(free_ids);  // Algorithm 4 line 7
     out.free.emplace(level, std::move(free_ids));
     out.ver.emplace(level, std::move(ver_ids));
   }
   return out;
-}
-
-}  // namespace
-
-SimilarCandidates SimilarSubCandidates(const SpigSet& spigs,
-                                       size_t query_size, int sigma,
-                                       const ActionAwareIndexes& indexes,
-                                       bool use_cache,
-                                       const Deadline& deadline,
-                                       bool* truncated) {
-  return DeriveSimilarCandidates(
-      spigs, query_size, sigma, deadline, truncated,
-      [&](const SpigVertex& v) -> IdSet {
-        return use_cache ? CachedSubCandidates(v, indexes)
-                         : ExactSubCandidates(v, indexes);
-      });
-}
-
-SimilarCandidates SimilarSubCandidates(const SpigSet& spigs,
-                                       size_t query_size, int sigma,
-                                       const IndexShard& shard,
-                                       const Deadline& deadline,
-                                       bool* truncated) {
-  return DeriveSimilarCandidates(
-      spigs, query_size, sigma, deadline, truncated,
-      [&](const SpigVertex& v) -> IdSet {
-        return ExactSubCandidates(v, shard);
-      });
 }
 
 }  // namespace prague

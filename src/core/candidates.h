@@ -25,7 +25,6 @@
 
 #include "core/spig.h"
 #include "index/action_aware_index.h"
-#include "index/sharded_snapshot.h"
 #include "util/deadline.h"
 #include "util/id_set.h"
 
@@ -39,13 +38,6 @@ namespace prague {
 /// so the result is empty.
 IdSet ExactSubCandidates(const SpigVertex& v,
                          const ActionAwareIndexes& indexes);
-
-/// \brief Algorithm 3 against one shard's index slices: the result is
-/// exactly the global candidate set intersected with the shard's graph-id
-/// range (slicing distributes over union and intersection). Never touches
-/// the per-vertex memo — shard tasks run concurrently and the memo is
-/// keyed to the full index.
-IdSet ExactSubCandidates(const SpigVertex& v, const IndexShard& shard);
 
 /// \brief Algorithm 3 through the per-vertex memo: answers from
 /// v.cand_cache when valid, else computes and fills it. Not thread-safe
@@ -71,11 +63,11 @@ struct SimilarCandidates {
   IdSet AllVer() const;
 
   /// \brief Per-level restriction to the graph-id range [begin, end) —
-  /// how a sharded run slices candidates that were derived (and memoized)
-  /// globally at formulation time. Levels are preserved even when a slice
-  /// comes out empty, so truncation semantics (which levels were derived)
-  /// survive the restriction. The free/ver disjointness per level is
-  /// preserved by construction.
+  /// how a sharded run hands each shard its part of the candidates derived
+  /// (and memoized) once for the whole database. Levels are preserved even
+  /// when a slice comes out empty, so truncation semantics (which levels
+  /// were derived) survive the restriction. The free/ver disjointness per
+  /// level is preserved by construction.
   SimilarCandidates Restrict(GraphId begin, GraphId end) const;
 };
 
@@ -93,18 +85,6 @@ SimilarCandidates SimilarSubCandidates(const SpigSet& spigs,
                                        size_t query_size, int sigma,
                                        const ActionAwareIndexes& indexes,
                                        bool use_cache = true,
-                                       const Deadline& deadline = Deadline(),
-                                       bool* truncated = nullptr);
-
-/// \brief Algorithm 4 against one shard's index slices (cold, memo-free —
-/// see the sharded ExactSubCandidates). Per level the result equals the
-/// global derivation restricted to the shard's range: slicing distributes
-/// over the per-vertex unions, and because Rfree slices the same way, the
-/// line-7 de-overlap ver \= free commutes with the restriction. Same
-/// level-boundary deadline semantics as the global overload.
-SimilarCandidates SimilarSubCandidates(const SpigSet& spigs,
-                                       size_t query_size, int sigma,
-                                       const IndexShard& shard,
                                        const Deadline& deadline = Deadline(),
                                        bool* truncated = nullptr);
 

@@ -3,44 +3,26 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/shard_exec.h"
 #include "graph/canonical.h"
 #include "graph/subgraph_ops.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace prague {
 
 GBlenderSession::GBlenderSession(SnapshotPtr snapshot)
     : snap_(std::move(snapshot)) {}
 
-GBlenderSession::GBlenderSession(SnapshotPtr snapshot,
-                                 ShardedSnapshot::Ptr sharded,
-                                 std::shared_ptr<ThreadPool> shard_pool)
-    : snap_(std::move(snapshot)),
-      sharded_(std::move(sharded)),
-      shard_pool_(std::move(shard_pool)) {}
-
-ShardPlan GBlenderSession::Plan() const {
-  ShardPlan plan;
-  if (sharded_ != nullptr && sharded_->Covers(*snap_) &&
-      sharded_->shard_count() > 1) {
-    plan.view = sharded_.get();
-    plan.pool = shard_pool_.get();
-  }
-  return plan;
-}
-
 NodeId GBlenderSession::AddNode(Label label) { return query_.AddNode(label); }
 
 void GBlenderSession::StepUpdate(const Graph& fragment, IdSet* rq) const {
+  const ActionAwareIndexes& indexes = snap_->indexes();
   CanonicalCode code = GetCanonicalCode(fragment);
-  if (std::optional<A2fId> fid = snap_->indexes().a2f.Lookup(code)) {
-    *rq = snap_->indexes().a2f.FsgIds(*fid);
+  if (std::optional<A2fId> fid = indexes.a2f.Lookup(code)) {
+    *rq = indexes.a2f.FsgIds(*fid);
     return;
   }
-  if (std::optional<A2iId> did = snap_->indexes().a2i.Lookup(code)) {
-    *rq = snap_->indexes().a2i.FsgIds(*did);
+  if (std::optional<A2iId> did = indexes.a2i.Lookup(code)) {
+    *rq = indexes.a2i.FsgIds(*did);
     return;
   }
   // Unindexed fragment: intersect the previous Rq with the FSG ids of
@@ -50,58 +32,17 @@ void GBlenderSession::StepUpdate(const Graph& fragment, IdSet* rq) const {
     rq->Clear();  // unindexed single edge has zero support
     return;
   }
-  // Resolve the indexed maximal subgraphs once (lookups are shared across
-  // shards); unindexed subgraphs constrain nothing and are skipped, as in
-  // the sequential rule.
-  std::vector<A2fId> freq_probes;
-  std::vector<A2iId> dif_probes;
   std::vector<std::vector<EdgeMask>> by_size =
       ConnectedEdgeSubsetsBySize(fragment);
   for (EdgeMask mask : by_size[fragment.EdgeCount() - 1]) {
     ExtractedSubgraph sub = ExtractEdgeSubgraph(fragment, mask);
     CanonicalCode sub_code = GetCanonicalCode(sub.graph);
-    if (std::optional<A2fId> fid = snap_->indexes().a2f.Lookup(sub_code)) {
-      freq_probes.push_back(*fid);
-    } else if (std::optional<A2iId> did = snap_->indexes().a2i.Lookup(sub_code)) {
-      dif_probes.push_back(*did);
+    if (std::optional<A2fId> fid = indexes.a2f.Lookup(sub_code)) {
+      rq->IntersectWith(indexes.a2f.FsgIds(*fid));
+    } else if (std::optional<A2iId> did = indexes.a2i.Lookup(sub_code)) {
+      rq->IntersectWith(indexes.a2i.FsgIds(*did));
     }
-  }
-  ShardPlan plan = Plan();
-  if (plan.active()) {
-    // Per shard: restrict Rq to the range, intersect with the shard's
-    // slices, then stitch the disjoint ascending ranges back together.
-    // Intersection distributes over the partition, so the union equals
-    // the global refinement exactly.
-    const size_t count = plan.view->shard_count();
-    std::vector<IdSet> parts(count);
-    TaskGroup group(plan.pool);
-    for (size_t s = 0; s < count; ++s) {
-      group.Submit([&, s] {
-        const IndexShard& shard = plan.view->shard(s);
-        IdSet part = shard.Restrict(*rq);
-        for (A2fId fid : freq_probes) {
-          part.IntersectWith(shard.A2fFsgIds(fid));
-        }
-        for (A2iId did : dif_probes) {
-          part.IntersectWith(shard.A2iFsgIds(did));
-        }
-        parts[s] = std::move(part);
-      });
-    }
-    if (group.WaitAll().ok()) {
-      IdSet merged;
-      for (const IdSet& part : parts) merged.UnionWith(part);
-      *rq = std::move(merged);
-      return;
-    }
-    // A shard task failed (escaped exception) — fall through to the
-    // sequential refinement, which needs nothing from the scatter.
-  }
-  for (A2fId fid : freq_probes) {
-    rq->IntersectWith(snap_->indexes().a2f.FsgIds(fid));
-  }
-  for (A2iId did : dif_probes) {
-    rq->IntersectWith(snap_->indexes().a2i.FsgIds(did));
+    // Unindexed subgraphs constrain nothing.
   }
 }
 
@@ -178,18 +119,9 @@ Result<QueryResults> GBlenderSession::Run(RunStats* stats,
   Stopwatch timer;
   QueryResults results;
   VerificationOutcome outcome;
-  ShardPlan plan = Plan();
-  if (plan.active()) {
-    Status shard_error;
-    results.exact =
-        ShardedExactVerification(query_.CurrentGraph(), rq_, snap_->db(),
-                                 plan, deadline, &outcome, nullptr,
-                                 &shard_error);
-    if (!shard_error.ok()) return shard_error;
-  } else {
-    results.exact = ExactVerification(query_.CurrentGraph(), rq_, snap_->db(),
-                                      nullptr, deadline, &outcome);
-  }
+  // What PragueSession's RUN path does with one shard.
+  results.exact = ExactVerification(query_.CurrentGraph(), rq_, snap_->db(),
+                                    deadline, &outcome);
   results.truncated = outcome.truncated;
   if (stats != nullptr) {
     stats->verified = results.exact.size();

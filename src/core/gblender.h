@@ -21,7 +21,6 @@
 #include "graph/graph_database.h"
 #include "index/action_aware_index.h"
 #include "index/database_snapshot.h"
-#include "index/sharded_snapshot.h"
 #include "util/id_set.h"
 #include "util/result.h"
 
@@ -42,15 +41,6 @@ class GBlenderSession {
   /// \brief Opens a session pinned to \p snapshot (same pinning semantics
   /// as PragueSession).
   explicit GBlenderSession(SnapshotPtr snapshot);
-
-  /// \brief Sharded variant: unindexed-fragment candidate refinement and
-  /// Run() verification scatter over \p sharded's shards on \p shard_pool,
-  /// with results bit-identical to the unsharded session (the fair-baseline
-  /// requirement — both engines get the same parallel substrate). The view
-  /// is used only while it covers \p snapshot; a null pool runs shard
-  /// tasks inline.
-  GBlenderSession(SnapshotPtr snapshot, ShardedSnapshot::Ptr sharded,
-                  std::shared_ptr<ThreadPool> shard_pool);
 
   /// \brief GUI: user drops a node.
   NodeId AddNode(Label label);
@@ -78,12 +68,8 @@ class GBlenderSession {
   // Recomputes Rq by replaying alive edges in a connectivity-preserving
   // order; returns the number of replayed steps.
   size_t Replay();
-  // Active plan when a covering sharded view was wired; inactive otherwise.
-  ShardPlan Plan() const;
 
   SnapshotPtr snap_;
-  ShardedSnapshot::Ptr sharded_;
-  std::shared_ptr<ThreadPool> shard_pool_;
   VisualQuery query_;
   IdSet rq_;
   bool started_ = false;  // Rq meaningless before the first edge

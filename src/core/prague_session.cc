@@ -1,9 +1,7 @@
 #include "core/prague_session.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <thread>
 #include <utility>
 
 #include "core/shard_exec.h"
@@ -298,48 +296,12 @@ Result<StepReport> PragueSession::EnableSimilarity() {
   return report;
 }
 
-ThreadPool* PragueSession::VerificationPool() {
-  if (config_.verification_threads <= 1) return nullptr;
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(config_.verification_threads);
-  }
-  return pool_.get();
-}
-
 ThreadPool* PragueSession::SpigPool() {
-  size_t threads = config_.spig_threads == 0 ? config_.verification_threads
-                                             : config_.spig_threads;
-  if (threads <= 1) return nullptr;
-  if (threads == config_.verification_threads) return VerificationPool();
-  if (!spig_pool_) spig_pool_ = std::make_unique<ThreadPool>(threads);
+  if (config_.spig_threads <= 1) return nullptr;
+  if (!spig_pool_) {
+    spig_pool_ = std::make_unique<ThreadPool>(config_.spig_threads);
+  }
   return spig_pool_.get();
-}
-
-ShardPlan PragueSession::ResolveShardPlan() {
-  ShardPlan plan;
-  if (config_.shards <= 1) return plan;
-  if (config_.sharded_snapshot != nullptr &&
-      config_.sharded_snapshot->Covers(*snap_)) {
-    plan.view = config_.sharded_snapshot.get();
-  } else {
-    if (!own_sharded_ || !own_sharded_->Covers(*snap_)) {
-      own_sharded_ = ShardedSnapshot::Make(snap_, config_.shards);
-    }
-    plan.view = own_sharded_.get();
-  }
-  // Make() clamps to the database size; a one-shard view never scatters.
-  if (!plan.active()) return plan;
-  if (config_.shard_pool != nullptr) {
-    plan.pool = config_.shard_pool.get();
-  } else {
-    if (!own_shard_pool_) {
-      size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-      own_shard_pool_ = std::make_shared<ThreadPool>(
-          std::min(plan.view->shard_count(), hw));
-    }
-    plan.pool = own_shard_pool_.get();
-  }
-  return plan;
 }
 
 Deadline PragueSession::RunDeadline() const {
@@ -380,12 +342,30 @@ Result<QueryResults> PragueSession::Run(const Deadline& deadline,
   const Graph& q = query_.CurrentGraph();
   QueryResults results;
   RunStats local;
-  ThreadPool* pool = VerificationPool();
-  ShardPlan plan = ResolveShardPlan();
+  // Shards are graph-id ranges of the pinned snapshot, fixed per run.
+  const ShardPlan plan = ShardPlan::Make(snap_->db().size(), config_.shards,
+                                         config_.shard_pool.get());
   auto mark_cut = [&](RunPhase phase) {
     results.truncated = true;
     local.truncated = true;
     if (local.deadline_phase == RunPhase::kNone) local.deadline_phase = phase;
+  };
+  // Algorithm 5 over `cands` (plus distance-0 matches from `exact_rq`).
+  auto generate_similar = [&](const SimilarCandidates& cands,
+                              const IdSet* exact_rq) {
+    obs::TraceSpan sim_span(&trace, "similar-generation");
+    bool gen_cut = false;
+    Status shard_error;
+    results.similar = ShardedSimilarRun(
+        q, spigs_, cands, config_.sigma, snap_->db(), exact_rq,
+        &local.similar, config_.top_k, config_.filtering_verifier, deadline,
+        plan, &gen_cut, &trace, &shard_error);
+    if (!shard_error.ok()) return shard_error;
+    local.similarity_seconds = sim_span.Stop();
+    obs::EngineMetrics::Get().similar_generation_us->Record(
+        ToMicros(local.similarity_seconds));
+    if (gen_cut) mark_cut(RunPhase::kSimilarGeneration);
+    return Status::OK();
   };
   if (!sim_flag_) {
     // Verification-free answers (the FG-Index [2] guarantee the indexes
@@ -401,16 +381,11 @@ Result<QueryResults> PragueSession::Run(const Deadline& deadline,
     } else {
       obs::TraceSpan span(&trace, "exact-verification");
       VerificationOutcome outcome;
-      if (plan.active()) {
-        Status shard_error;
-        results.exact = ShardedExactVerification(
-            q, rq_, snap_->db(), plan, deadline, &outcome, &trace,
-            &shard_error);
-        if (!shard_error.ok()) return shard_error;
-      } else {
-        results.exact =
-            ExactVerification(q, rq_, snap_->db(), pool, deadline, &outcome);
-      }
+      Status shard_error;
+      results.exact = ShardedExactVerification(q, rq_, snap_->db(), plan,
+                                               deadline, &outcome, &trace,
+                                               &shard_error);
+      if (!shard_error.ok()) return shard_error;
       local.verification_seconds = span.Stop();
       obs::EngineMetrics::Get().exact_verification_us->Record(
           ToMicros(local.verification_seconds));
@@ -421,80 +396,27 @@ Result<QueryResults> PragueSession::Run(const Deadline& deadline,
     }
     if (results.exact.empty() && !results.truncated) {
       // Algorithm 1 lines 19-21: exact verification came up empty — fall
-      // back to similarity search.
+      // back to similarity search. Candidates are derived once, through
+      // the memo, and each shard generates from its own range of them.
       results.similarity = true;
-      if (plan.active()) {
-        // Fused scatter: each shard derives its candidates and generates
-        // its matches in one task, so there is no global candidate phase —
-        // the whole scatter is accounted to similarity_seconds
-        // (candidate_seconds stays 0) under one top-level span.
-        obs::TraceSpan sim_span(&trace, "similar-generation");
-        bool gen_cut = false;
-        RunPhase cut_phase = RunPhase::kNone;
-        Status shard_error;
-        results.similar = ShardedSimilarRun(
-            q, spigs_, /*formulation_cands=*/nullptr, config_.sigma,
-            snap_->db(), /*exact_rq=*/nullptr, &local.similar, config_.top_k,
-            config_.filtering_verifier, deadline, plan, &gen_cut, &cut_phase,
-            &trace, &shard_error);
-        if (!shard_error.ok()) return shard_error;
-        local.similarity_seconds = sim_span.Stop();
-        obs::EngineMetrics::Get().similar_generation_us->Record(
-            ToMicros(local.similarity_seconds));
-        if (gen_cut) mark_cut(cut_phase);
-      } else {
-        obs::TraceSpan cand_span(&trace, "similar-candidates");
-        bool cand_cut = false;
-        SimilarCandidates cands = SimilarSubCandidates(
-            spigs_, query_.EdgeCount(), config_.sigma, snap_->indexes(),
-            config_.candidate_memo, deadline, &cand_cut);
-        local.candidate_seconds = cand_span.Stop();
-        obs::EngineMetrics::Get().similar_candidates_us->Record(
-            ToMicros(local.candidate_seconds));
-        if (cand_cut) mark_cut(RunPhase::kSimilarCandidates);
-        obs::TraceSpan sim_span(&trace, "similar-generation");
-        bool gen_cut = false;
-        results.similar = SimilarResultsGen(
-            q, spigs_, cands, config_.sigma, snap_->db(), nullptr,
-            &local.similar, config_.top_k, pool, config_.filtering_verifier,
-            deadline, &gen_cut);
-        local.similarity_seconds = sim_span.Stop();
-        obs::EngineMetrics::Get().similar_generation_us->Record(
-            ToMicros(local.similarity_seconds));
-        if (gen_cut) mark_cut(RunPhase::kSimilarGeneration);
-      }
+      obs::TraceSpan cand_span(&trace, "similar-candidates");
+      bool cand_cut = false;
+      SimilarCandidates cands = SimilarSubCandidates(
+          spigs_, query_.EdgeCount(), config_.sigma, snap_->indexes(),
+          config_.candidate_memo, deadline, &cand_cut);
+      local.candidate_seconds = cand_span.Stop();
+      obs::EngineMetrics::Get().similar_candidates_us->Record(
+          ToMicros(local.candidate_seconds));
+      if (cand_cut) mark_cut(RunPhase::kSimilarCandidates);
+      PRAGUE_RETURN_NOT_OK(generate_similar(cands, nullptr));
     }
   } else {
+    // Warm path: the formulation-time candidates. Distance-0 matches are
+    // possible when a deletion restored exact matches while simFlag stayed
+    // set.
     results.similarity = true;
-    // Distance-0 matches are possible when a deletion restored exact
-    // matches while simFlag stayed set.
-    const IdSet* exact_rq = rq_.empty() ? nullptr : &rq_;
-    obs::TraceSpan sim_span(&trace, "similar-generation");
-    bool gen_cut = false;
-    if (plan.active()) {
-      // Warm path: the formulation-time candidates are restricted to each
-      // shard's range instead of re-derived, so the memoized work is kept.
-      RunPhase cut_phase = RunPhase::kNone;
-      Status shard_error;
-      results.similar = ShardedSimilarRun(
-          q, spigs_, &similar_, config_.sigma, snap_->db(), exact_rq,
-          &local.similar, config_.top_k, config_.filtering_verifier,
-          deadline, plan, &gen_cut, &cut_phase, &trace, &shard_error);
-      if (!shard_error.ok()) return shard_error;
-      local.similarity_seconds = sim_span.Stop();
-      obs::EngineMetrics::Get().similar_generation_us->Record(
-          ToMicros(local.similarity_seconds));
-      if (gen_cut) mark_cut(cut_phase);
-    } else {
-      results.similar = SimilarResultsGen(
-          q, spigs_, similar_, config_.sigma, snap_->db(), exact_rq,
-          &local.similar, config_.top_k, pool, config_.filtering_verifier,
-          deadline, &gen_cut);
-      local.similarity_seconds = sim_span.Stop();
-      obs::EngineMetrics::Get().similar_generation_us->Record(
-          ToMicros(local.similarity_seconds));
-      if (gen_cut) mark_cut(RunPhase::kSimilarGeneration);
-    }
+    PRAGUE_RETURN_NOT_OK(
+        generate_similar(similar_, rq_.empty() ? nullptr : &rq_));
   }
   local.nodes_expanded += local.similar.nodes_expanded;
   local.srt_seconds = timer.ElapsedSeconds();

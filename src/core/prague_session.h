@@ -22,10 +22,10 @@
 #include "graph/graph_database.h"
 #include "index/action_aware_index.h"
 #include "index/database_snapshot.h"
-#include "index/sharded_snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 
 namespace prague {
 
@@ -43,15 +43,10 @@ struct PragueConfig {
   /// matches. Because Algorithm 5 emits results in non-decreasing distance
   /// order, the truncation is exactly the top-k most similar graphs.
   size_t top_k = 0;
-  /// Worker threads for Run()-time verification (1 = sequential).
-  /// Verification is read-only over the database, so parallel results are
-  /// identical to sequential ones.
-  size_t verification_threads = 1;
   /// Worker threads for SPIG construction (Algorithm 2): the per-vertex
   /// work of each level fans out with a barrier between levels, producing
-  /// SPIGs bit-identical to the sequential build. 0 = follow
-  /// verification_threads; 1 = sequential.
-  size_t spig_threads = 0;
+  /// SPIGs bit-identical to the sequential build. 1 = sequential.
+  size_t spig_threads = 1;
   /// Memoize each SPIG vertex's Algorithm-3 candidate set so candidate
   /// refreshes only compute vertices created by the current step. Same
   /// answers either way; false forces the cold path (benchmarking).
@@ -87,20 +82,14 @@ struct PragueConfig {
   /// Observability label stamped into this session's RunTraces
   /// (ManagedSession sets its manager-assigned id). Purely diagnostic.
   uint64_t session_tag = 0;
-  /// Number of graph-id shards Run() scatters its phases across (1 =
-  /// classic single-threaded phases). Results are bit-identical to
-  /// shards=1 — the partition only changes who computes what. The session
-  /// builds its own ShardedSnapshot/pool lazily unless the owner wires
-  /// shared ones below.
+  /// Number of graph-id ranges Run() splits its phases across, clamped
+  /// per run to [1, |D|] of the pinned snapshot (core/shard_exec.h).
+  /// Results are bit-identical at every count — the split only changes
+  /// who computes what. 1 runs everything inline on the calling thread.
   size_t shards = 1;
-  /// Pre-built partitioned view of the pinned snapshot (SessionManager
-  /// wires the shared one so sessions don't each re-slice the indexes).
-  /// Used only when it covers the session's snapshot; shared ownership
-  /// keeps it valid for sessions that outlive the owner.
-  std::shared_ptr<const ShardedSnapshot> sharded_snapshot;
   /// Pool the per-shard tasks run on, shared across sessions (each run
-  /// waits only on its own TaskGroup). Null with shards > 1 makes the
-  /// session create its own pool sized to the shard count.
+  /// waits only on its own TaskGroup; SessionManager wires its own).
+  /// Null runs as shards = 1, whatever \ref shards says.
   std::shared_ptr<ThreadPool> shard_pool;
 };
 
@@ -226,15 +215,9 @@ class PragueSession {
   void MaybeExitSimilarity();
   const SpigVertex* TargetVertex() const;
 
-  // Lazily created when config_.verification_threads > 1.
-  ThreadPool* VerificationPool();
-  // Pool for SPIG construction (resolved spig_threads > 1), reusing the
-  // verification pool when the sizes agree. Null means build sequentially.
+  // Pool for SPIG construction, created lazily when spig_threads > 1.
+  // Null means build sequentially.
   ThreadPool* SpigPool();
-  // How this run scatters: the config's shared view/pool when wired (and
-  // covering the pinned snapshot), else lazily built session-local ones.
-  // Inactive plan (view == nullptr) when config_.shards <= 1.
-  ShardPlan ResolveShardPlan();
   // Config-derived budgets (unbounded when the knob is 0), carrying the
   // config's cancellation token.
   Deadline RunDeadline() const;
@@ -253,11 +236,7 @@ class PragueSession {
   IdSet rq_;
   SimilarCandidates similar_;
   bool sim_flag_ = false;
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ThreadPool> spig_pool_;
-  // Lazily built when config_.shards > 1 without a wired view/pool.
-  ShardedSnapshot::Ptr own_sharded_;
-  std::shared_ptr<ThreadPool> own_shard_pool_;
   SessionLog log_;
   obs::RunTrace last_trace_;
   uint64_t runs_completed_ = 0;

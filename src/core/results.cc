@@ -1,9 +1,7 @@
 #include "core/results.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <span>
 #include <unordered_set>
 
 #include "graph/verifier.h"
@@ -27,70 +25,25 @@ const char* RunPhaseName(RunPhase phase) {
 
 std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
                                        const GraphDatabase& db,
-                                       ThreadPool* pool,
                                        const Deadline& deadline,
                                        VerificationOutcome* outcome) {
-  std::span<const GraphId> ids = rq.span();
   const bool bounded = deadline.CanExpire();
   VerificationOutcome local;
   std::vector<GraphId> out;
-  if (pool == nullptr || pool->size() <= 1) {
-    for (GraphId gid : ids) {
-      if (bounded && deadline.Expired()) {
-        local.truncated = true;
-        break;
-      }
-      bool cut = false;
-      bool found = IsSubgraphIsomorphic(q, db.graph(gid), deadline, &cut,
-                                        &local.nodes_expanded);
-      if (cut) {
-        local.truncated = true;  // verdict unknown: stop before recording it
-        break;
-      }
-      ++local.checked;
-      if (found) out.push_back(gid);
-    }
-    if (outcome != nullptr) *outcome = local;
-    return out;
-  }
-  std::vector<char> hit(ids.size(), 0);
-  // decided[i] == 0 marks candidates the deadline left unresolved; the
-  // output stops at the first such index so parallel truncation yields the
-  // same prefix a sequential scan would.
-  std::vector<char> decided(ids.size(), 1);
-  std::atomic<bool> expired{false};
-  std::atomic<size_t> nodes{0};
-  pool->ParallelFor(ids.size(), /*min_chunk=*/16,
-                    [&](size_t begin, size_t end) {
-                      size_t local_nodes = 0;
-                      for (size_t i = begin; i < end; ++i) {
-                        if (bounded && (expired.load(std::memory_order_relaxed) ||
-                                        deadline.Expired())) {
-                          expired.store(true, std::memory_order_relaxed);
-                          for (size_t j = i; j < end; ++j) decided[j] = 0;
-                          break;
-                        }
-                        bool cut = false;
-                        hit[i] = IsSubgraphIsomorphic(q, db.graph(ids[i]),
-                                                      deadline, &cut,
-                                                      &local_nodes);
-                        if (cut) {
-                          expired.store(true, std::memory_order_relaxed);
-                          for (size_t j = i; j < end; ++j) decided[j] = 0;
-                          break;
-                        }
-                      }
-                      nodes.fetch_add(local_nodes,
-                                      std::memory_order_relaxed);
-                    });
-  local.nodes_expanded = nodes.load();
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (!decided[i]) {
+  for (GraphId gid : rq) {
+    if (bounded && deadline.Expired()) {
       local.truncated = true;
       break;
     }
+    bool cut = false;
+    bool found = IsSubgraphIsomorphic(q, db.graph(gid), deadline, &cut,
+                                      &local.nodes_expanded);
+    if (cut) {
+      local.truncated = true;  // verdict unknown: stop before recording it
+      break;
+    }
     ++local.checked;
-    if (hit[i]) out.push_back(ids[i]);
+    if (found) out.push_back(gid);
   }
   if (outcome != nullptr) *outcome = local;
   return out;
@@ -139,9 +92,8 @@ bool SimVerify(const std::vector<const Graph*>& level_fragments,
 std::vector<SimilarMatch> SimilarResultsGen(
     const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
     int sigma, const GraphDatabase& db, const IdSet* exact_rq,
-    SimilarGenStats* stats, size_t top_k, ThreadPool* pool,
-    bool filtering_verifier, const Deadline& deadline, bool* truncated,
-    SimilarGenCut* cut_pos) {
+    SimilarGenStats* stats, size_t top_k, bool filtering_verifier,
+    const Deadline& deadline, bool* truncated, SimilarGenCut* cut_pos) {
   std::unique_ptr<Verifier> verifier =
       MakeVerifier(filtering_verifier ? "filtering" : "plain");
   verifier->SetDeadline(deadline);
@@ -159,7 +111,7 @@ std::vector<SimilarMatch> SimilarResultsGen(
   if (exact_rq != nullptr && !exact_rq->empty()) {
     VerificationOutcome exact_outcome;
     std::vector<GraphId> exact_hits =
-        ExactVerification(q, *exact_rq, db, pool, deadline, &exact_outcome);
+        ExactVerification(q, *exact_rq, db, deadline, &exact_outcome);
     if (stats != nullptr) {
       stats->nodes_expanded += exact_outcome.nodes_expanded;
     }
@@ -191,76 +143,19 @@ std::vector<SimilarMatch> SimilarResultsGen(
       if (!pending.empty()) {
         std::vector<const Graph*> fragments =
             DistinctLevelFragments(spigs, level);
-        std::span<const GraphId> ids = pending.span();
-        if (pool != nullptr && pool->size() > 1 && ids.size() > 16) {
-          // Parallel MCCS checks; appended in id order afterwards so the
-          // output matches the sequential path exactly. decided[i] == 0
-          // marks deadline-unresolved candidates; the append loop stops at
-          // the first one, keeping truncation prefix-consistent.
-          std::vector<char> verdict(ids.size(), 0);
-          std::vector<char> decided(ids.size(), 1);
-          std::atomic<bool> expired{false};
-          std::atomic<size_t> vf2_calls{0};
-          std::atomic<size_t> nodes{0};
-          pool->ParallelFor(
-              ids.size(), /*min_chunk=*/8, [&](size_t begin, size_t end) {
-                // Verifier caches are not shared across threads; each
-                // chunk gets its own (fragment summaries are recomputed
-                // once per chunk, which is cheap).
-                std::unique_ptr<Verifier> local_verifier = MakeVerifier(
-                    filtering_verifier ? "filtering" : "plain");
-                local_verifier->SetDeadline(deadline);
-                SimilarGenStats local;
-                for (size_t i = begin; i < end; ++i) {
-                  if (bounded &&
-                      (expired.load(std::memory_order_relaxed) ||
-                       deadline.Expired())) {
-                    expired.store(true, std::memory_order_relaxed);
-                    for (size_t j = i; j < end; ++j) decided[j] = 0;
-                    break;
-                  }
-                  size_t cuts = local_verifier->stats().deadline_hits;
-                  verdict[i] = SimVerify(fragments, db.graph(ids[i]),
-                                         &local, local_verifier.get());
-                  if (local_verifier->stats().deadline_hits != cuts) {
-                    expired.store(true, std::memory_order_relaxed);
-                    for (size_t j = i; j < end; ++j) decided[j] = 0;
-                    break;
-                  }
-                }
-                vf2_calls += local.vf2_calls;
-                nodes += local.nodes_expanded;
-              });
-          if (stats != nullptr) {
-            stats->vf2_calls += vf2_calls.load();
-            stats->nodes_expanded += nodes.load();
-          }
-          for (size_t i = 0; i < ids.size(); ++i) {
-            if (full()) return results;
-            if (!decided[i]) return cut(distance, true);
-            if (verdict[i]) {
-              results.push_back(SimilarMatch{ids[i], distance, true});
-              seen.Insert(ids[i]);
-              if (stats != nullptr) ++stats->verified;
-            } else if (stats != nullptr) {
-              ++stats->rejected;
-            }
-          }
-        } else {
-          for (GraphId gid : ids) {
-            if (full()) return results;
-            if (bounded && deadline.Expired()) return cut(distance, true);
-            if (SimVerify(fragments, db.graph(gid), stats,
-                          verifier.get())) {
-              results.push_back(SimilarMatch{gid, distance, true});
-              seen.Insert(gid);
-              if (stats != nullptr) ++stats->verified;
-            } else if (bounded && deadline.Expired()) {
-              // Verdict unknown — the deadline cut the search mid-check.
-              return cut(distance, true);
-            } else if (stats != nullptr) {
-              ++stats->rejected;
-            }
+        for (GraphId gid : pending) {
+          if (full()) return results;
+          if (bounded && deadline.Expired()) return cut(distance, true);
+          if (SimVerify(fragments, db.graph(gid), stats,
+                        verifier.get())) {
+            results.push_back(SimilarMatch{gid, distance, true});
+            seen.Insert(gid);
+            if (stats != nullptr) ++stats->verified;
+          } else if (bounded && deadline.Expired()) {
+            // Verdict unknown — the deadline cut the search mid-check.
+            return cut(distance, true);
+          } else if (stats != nullptr) {
+            ++stats->rejected;
           }
         }
       }

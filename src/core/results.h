@@ -17,7 +17,6 @@
 #include "graph/graph_database.h"
 #include "util/deadline.h"
 #include "util/id_set.h"
-#include "util/thread_pool.h"
 
 namespace prague {
 
@@ -114,13 +113,12 @@ struct VerificationOutcome {
 };
 
 /// \brief Subgraph-isomorphism verification of the containment candidate
-/// set Rq; returns the ids of true matches, ascending. A non-null \p pool
-/// verifies candidates in parallel (identical results, same order). Under
-/// a bounded \p deadline the scan stops at the first undecided candidate
-/// and \p outcome (optional) reports the cut.
+/// set Rq; returns the ids of true matches, ascending. Under a bounded
+/// \p deadline the scan stops at the first undecided candidate and
+/// \p outcome (optional) reports the cut. Parallelism lives one level up,
+/// in the shard scatter (core/shard_exec.h).
 std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
                                        const GraphDatabase& db,
-                                       ThreadPool* pool = nullptr,
                                        const Deadline& deadline = Deadline(),
                                        VerificationOutcome* outcome = nullptr);
 
@@ -131,9 +129,7 @@ std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
 /// set — the paper's pseudo-code starts at |q|−1 and would miss them).
 /// \p stats may be null. A non-zero \p top_k truncates the result list to
 /// the k most-similar matches (sound because results are generated in
-/// non-decreasing distance order). A non-null \p pool runs each level's
-/// MCCS verification in parallel; results are identical and in the same
-/// order as the sequential path. When \p filtering_verifier is set the
+/// non-decreasing distance order). When \p filtering_verifier is set the
 /// MCCS checks run behind FilteringVerifier's label/degree prefilters
 /// (same answers, fewer VF2 calls — see graph/verifier.h). Under a bounded
 /// \p deadline generation stops at the first undecided candidate — because
@@ -144,9 +140,9 @@ std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
 std::vector<SimilarMatch> SimilarResultsGen(
     const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
     int sigma, const GraphDatabase& db, const IdSet* exact_rq,
-    SimilarGenStats* stats, size_t top_k = 0, ThreadPool* pool = nullptr,
-    bool filtering_verifier = false, const Deadline& deadline = Deadline(),
-    bool* truncated = nullptr, SimilarGenCut* cut_pos = nullptr);
+    SimilarGenStats* stats, size_t top_k = 0, bool filtering_verifier = false,
+    const Deadline& deadline = Deadline(), bool* truncated = nullptr,
+    SimilarGenCut* cut_pos = nullptr);
 
 }  // namespace prague
 

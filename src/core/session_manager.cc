@@ -5,16 +5,17 @@
 #include <string>
 #include <thread>
 
+#include "core/shard_exec.h"
+
 namespace prague {
 
 SessionManager::SessionManager(SnapshotPtr initial,
                                PragueConfig default_config)
     : default_config_(default_config), current_(std::move(initial)) {
   if (default_config_.shards > 1) {
-    sharded_ = ShardedSnapshot::Make(current_, default_config_.shards);
     size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-    shard_pool_ = std::make_shared<ThreadPool>(
-        std::min(sharded_->shard_count(), hw));
+    shard_pool_ =
+        std::make_shared<ThreadPool>(std::min(default_config_.shards, hw));
   }
 }
 
@@ -44,13 +45,7 @@ std::shared_ptr<ManagedSession> SessionManager::Open(
     const PragueConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
   PragueConfig wired = config;
-  // Hand the shared view/pool to the session when they fit its config;
-  // otherwise the session builds its own lazily (ResolveShardPlan).
-  if (sharded_ != nullptr && wired.shards == sharded_->shard_count() &&
-      sharded_->Covers(*current_)) {
-    wired.sharded_snapshot = sharded_;
-    wired.shard_pool = shard_pool_;
-  }
+  if (wired.shard_pool == nullptr) wired.shard_pool = shard_pool_;
   auto session = std::shared_ptr<ManagedSession>(new ManagedSession(
       next_session_id_++, current_, run_tally_, trace_ring_, wired));
   ++sessions_opened_;
@@ -68,10 +63,6 @@ SnapshotPtr SessionManager::current() const {
 }
 
 Status SessionManager::Publish(SnapshotPtr next) {
-  return PublishInternal(std::move(next), /*cow_successor=*/false);
-}
-
-Status SessionManager::PublishInternal(SnapshotPtr next, bool cow_successor) {
   if (next == nullptr) {
     return Status::InvalidArgument("cannot publish a null snapshot");
   }
@@ -81,14 +72,6 @@ Status SessionManager::PublishInternal(SnapshotPtr next, bool cow_successor) {
         "stale publish: version " + std::to_string(next->version()) +
         " does not exceed current version " +
         std::to_string(current_->version()));
-  }
-  if (sharded_ != nullptr) {
-    // Only Append()'s output is a proven COW successor whose interior
-    // shards can be reused; an arbitrary published snapshot gets a fresh
-    // partition. Sessions pinning the old view are unaffected either way.
-    sharded_ = cow_successor && sharded_->Covers(*current_)
-                   ? ShardedSnapshot::Append(sharded_, next)
-                   : ShardedSnapshot::Make(next, default_config_.shards);
   }
   current_ = std::move(next);
   ++snapshots_published_;
@@ -129,8 +112,7 @@ Result<MaintenanceReport> SessionManager::Append(
     last_append_alpha_ = options.alpha;
   }
 
-  PRAGUE_RETURN_NOT_OK(
-      PublishInternal(appended.value().snapshot, /*cow_successor=*/true));
+  PRAGUE_RETURN_NOT_OK(Publish(appended.value().snapshot));
   return appended.value().report;
 }
 
@@ -171,7 +153,7 @@ SessionManagerStats SessionManager::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SessionManagerStats stats;
   stats.current_version = current_->version();
-  stats.shards = sharded_ != nullptr ? sharded_->shard_count() : 1;
+  stats.shards = ShardCount(default_config_.shards, current_->db().size());
   stats.sessions_opened = sessions_opened_;
   stats.snapshots_published = snapshots_published_;
   stats.runs_served = run_tally_->runs.Value();

@@ -126,8 +126,8 @@ struct OpenSessionInfo {
 /// \brief Point-in-time view of the manager (Stats()).
 struct SessionManagerStats {
   uint64_t current_version = 0;
-  /// Shards of the manager's partitioned view of the current snapshot
-  /// (1 = sharded execution disabled). Served over the wire by STATS.
+  /// Shards a default-config run over the current snapshot splits into
+  /// (1 = every run inline). Served over the wire by STATS.
   size_t shards = 1;
   size_t open_sessions = 0;
   uint64_t sessions_opened = 0;
@@ -162,9 +162,8 @@ class SessionManager {
   /// \brief Starts with \p initial as the current snapshot. \p
   /// default_config is used by the zero-argument Open(). A default config
   /// with shards > 1 turns on shared sharded execution: the manager keeps
-  /// one partitioned view of the current snapshot plus one shard pool and
-  /// wires both into every session it opens, so N sessions don't build N
-  /// views or N pools.
+  /// one shard pool and wires it into every session it opens that has no
+  /// pool of its own, so N sessions don't build N pools.
   explicit SessionManager(SnapshotPtr initial,
                           PragueConfig default_config = PragueConfig());
 
@@ -250,23 +249,15 @@ class SessionManager {
   // Snapshot of default_config_ under mu_ (it is mutable via
   // SetDefaultRunDeadlineMillis).
   PragueConfig DefaultConfig() const;
-  // Publish with the sharded-view maintenance folded in. cow_successor
-  // distinguishes Append()'s output (interior shards provably unchanged —
-  // the cheap ShardedSnapshot::Append applies) from an arbitrary
-  // Publish()ed snapshot (full re-partition).
-  Status PublishInternal(SnapshotPtr next, bool cow_successor);
 
   PragueConfig default_config_;
 
-  // Guards current_, sessions_, default_config_, and sharded_.
+  // Guards current_, sessions_, and default_config_.
   mutable std::mutex mu_;
   SnapshotPtr current_;
-  // Partitioned view of current_ (null when sharding is off); rebuilt or
-  // COW-extended by PublishInternal. Sessions pin the view matching their
-  // pinned snapshot via shared_ptr, so republishing never disturbs them.
-  ShardedSnapshot::Ptr sharded_;
   // One pool shared by every session's shard tasks (each run waits only on
-  // its own TaskGroup). shared_ptr: sessions may outlive the manager.
+  // its own TaskGroup); null when sharding is off. shared_ptr: sessions
+  // may outlive the manager.
   std::shared_ptr<ThreadPool> shard_pool_;
   // Registry of open sessions for Stats(); weak so a dropped session
   // releases its snapshot pin immediately. Dead entries are pruned lazily.

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace prague {
 
@@ -15,10 +14,19 @@ uint64_t ToMicros(double seconds) {
   return static_cast<uint64_t>(seconds * 1e6 + 0.5);
 }
 
-// One scatter's worth of shard metrics: task count, balance of the
-// per-shard task times, and the gather/merge cost.
-void RecordScatterMetrics(const std::vector<double>& shard_seconds,
-                          double merge_seconds) {
+// One scatter's worth of observability: per-shard spans on the trace, the
+// task count, balance of the per-shard task times, and the gather/merge
+// cost. A single-shard run is not a scatter and records none of it.
+void RecordScatter(obs::RunTrace* trace, const char* span_name,
+                   const std::vector<double>& shard_seconds,
+                   double merge_seconds) {
+  if (shard_seconds.size() <= 1) return;
+  if (trace != nullptr) {
+    for (size_t s = 0; s < shard_seconds.size(); ++s) {
+      trace->spans.push_back(
+          {span_name, shard_seconds[s], static_cast<int>(s)});
+    }
+  }
   obs::EngineMetrics& em = obs::EngineMetrics::Get();
   em.shard_runs_total->Increment();
   em.shard_tasks_total->Increment(shard_seconds.size());
@@ -34,15 +42,25 @@ void RecordScatterMetrics(const std::vector<double>& shard_seconds,
   em.shard_merge_us->Record(ToMicros(merge_seconds));
 }
 
-void AppendShardSpans(obs::RunTrace* trace, const char* name,
-                      const std::vector<double>& shard_seconds) {
-  if (trace == nullptr) return;
-  for (size_t s = 0; s < shard_seconds.size(); ++s) {
-    trace->spans.push_back({name, shard_seconds[s], static_cast<int>(s)});
-  }
+}  // namespace
+
+size_t ShardCount(size_t requested, size_t db_size) {
+  return std::clamp<size_t>(requested, 1, std::max<size_t>(1, db_size));
 }
 
-}  // namespace
+ShardPlan ShardPlan::Make(size_t db_size, size_t shards, ThreadPool* pool) {
+  ShardPlan plan;
+  // Without a pool there is nothing to scatter to: run as one shard.
+  const size_t count = pool == nullptr ? 1 : ShardCount(shards, db_size);
+  plan.ranges.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    // Even split: shard i owns [i*n/count, (i+1)*n/count).
+    plan.ranges.push_back({static_cast<GraphId>(i * db_size / count),
+                           static_cast<GraphId>((i + 1) * db_size / count)});
+  }
+  plan.pool = count > 1 ? pool : nullptr;
+  return plan;
+}
 
 std::vector<GraphId> ShardedExactVerification(
     const Graph& q, const IdSet& rq, const GraphDatabase& db,
@@ -59,9 +77,8 @@ std::vector<GraphId> ShardedExactVerification(
         Stopwatch timer;
         // Sequential scan per shard (the scatter is the parallelism);
         // candidates are visited in ascending id order within the range.
-        IdSet rq_s = plan.view->shard(s).Restrict(rq);
-        matches[s] =
-            ExactVerification(q, rq_s, db, nullptr, deadline, &outcomes[s]);
+        matches[s] = ExactVerification(q, plan.ranges[s].Restrict(rq), db,
+                                       deadline, &outcomes[s]);
         seconds[s] = timer.ElapsedSeconds();
       });
     }
@@ -87,28 +104,26 @@ std::vector<GraphId> ShardedExactVerification(
     }
   }
   if (outcome != nullptr) *outcome = merged;
-  AppendShardSpans(trace, "shard-exact-verification", seconds);
-  RecordScatterMetrics(seconds, merge_timer.ElapsedSeconds());
+  RecordScatter(trace, "shard-exact-verification", seconds,
+                merge_timer.ElapsedSeconds());
   return out;
 }
 
 std::vector<SimilarMatch> MergeShardSimilar(
     const std::vector<ShardSimilarPartial>& partials, size_t top_k,
-    SimilarGenStats* stats, bool* truncated, RunPhase* cut_phase) {
+    SimilarGenStats* stats, bool* truncated) {
   const size_t count = partials.size();
   // Earliest cut in bucket order; ties broken by shard ordinal (within
   // one bucket, contributions are ordered by shard).
   bool have_cut = false;
   SimilarGenCut min_cut;
   size_t cut_shard = 0;
-  RunPhase phase = RunPhase::kNone;
   for (size_t s = 0; s < count; ++s) {
     if (!partials[s].truncated) continue;
     if (!have_cut || partials[s].cut < min_cut) {
       have_cut = true;
       min_cut = partials[s].cut;
       cut_shard = s;
-      phase = partials[s].cut_phase;
     }
   }
   if (stats != nullptr) {
@@ -124,9 +139,6 @@ std::vector<SimilarMatch> MergeShardSimilar(
   }
   auto mark_cut = [&]() {
     if (truncated != nullptr) *truncated = true;
-    if (cut_phase != nullptr && *cut_phase == RunPhase::kNone) {
-      *cut_phase = phase;
-    }
   };
   std::vector<SimilarMatch> out;
   std::vector<size_t> pos(count, 0);
@@ -161,7 +173,7 @@ std::vector<SimilarMatch> MergeShardSimilar(
         mark_cut();
         return out;
       }
-      std::vector<size_t>::value_type& p = pos[s];
+      size_t& p = pos[s];
       const std::vector<SimilarMatch>& m = partials[s].matches;
       while (p < m.size() && bucket_of(m[p]) == bucket) {
         if (full()) return out;
@@ -175,14 +187,12 @@ std::vector<SimilarMatch> MergeShardSimilar(
 }
 
 std::vector<SimilarMatch> ShardedSimilarRun(
-    const Graph& q, const SpigSet& spigs,
-    const SimilarCandidates* formulation_cands, int sigma,
-    const GraphDatabase& db, const IdSet* exact_rq, SimilarGenStats* stats,
-    size_t top_k, bool filtering_verifier, const Deadline& deadline,
-    const ShardPlan& plan, bool* truncated, RunPhase* cut_phase,
+    const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
+    int sigma, const GraphDatabase& db, const IdSet* exact_rq,
+    SimilarGenStats* stats, size_t top_k, bool filtering_verifier,
+    const Deadline& deadline, const ShardPlan& plan, bool* truncated,
     obs::RunTrace* trace, Status* error) {
   const size_t count = plan.shard_count();
-  const int qsize = static_cast<int>(q.EdgeCount());
   std::vector<ShardSimilarPartial> partials(count);
   std::vector<double> seconds(count);
   {
@@ -191,49 +201,14 @@ std::vector<SimilarMatch> ShardedSimilarRun(
       group.Submit([&, s] {
         Stopwatch timer;
         ShardSimilarPartial& p = partials[s];
-        const IndexShard& shard = plan.view->shard(s);
-        // Candidate state stays shard-local until the merge: derive (or
-        // restrict) against this shard's slices, then generate
-        // immediately, all in one task.
-        bool cand_cut = false;
-        SimilarCandidates cands =
-            formulation_cands != nullptr
-                ? formulation_cands->Restrict(shard.begin(), shard.end())
-                : SimilarSubCandidates(spigs, q.EdgeCount(), sigma, shard,
-                                       deadline, &cand_cut);
+        const ShardRange& range = plan.ranges[s];
         IdSet exact_slice;
-        const IdSet* exact_ptr = nullptr;
-        if (exact_rq != nullptr) {
-          exact_slice = shard.Restrict(*exact_rq);
-          exact_ptr = &exact_slice;
-        }
-        bool gen_cut = false;
-        SimilarGenCut gen_cut_pos;
+        if (exact_rq != nullptr) exact_slice = range.Restrict(*exact_rq);
         p.matches = SimilarResultsGen(
-            q, spigs, cands, sigma, db, exact_ptr, &p.stats, top_k,
-            /*pool=*/nullptr, filtering_verifier, deadline, &gen_cut,
-            &gen_cut_pos);
-        if (cand_cut) {
-          // First underived bucket: the Algorithm-4 walk stops at level
-          // boundaries, so derived levels are a prefix q−1 … m and the
-          // first missing bucket is (qsize − m + 1, free).
-          int min_level = cands.free.empty() ? qsize : cands.free.begin()->first;
-          SimilarGenCut derive_cut{qsize - min_level + 1, false};
-          p.truncated = true;
-          if (gen_cut && gen_cut_pos < derive_cut) {
-            p.cut = gen_cut_pos;
-            p.cut_phase = RunPhase::kSimilarGeneration;
-          } else {
-            p.cut = derive_cut;
-            p.cut_phase = RunPhase::kSimilarCandidates;
-          }
-        } else if (gen_cut) {
-          p.truncated = true;
-          p.cut = gen_cut_pos;
-          p.cut_phase = RunPhase::kSimilarGeneration;
-        }
-        p.seconds = timer.ElapsedSeconds();
-        seconds[s] = p.seconds;
+            q, spigs, cands.Restrict(range.begin, range.end), sigma, db,
+            exact_rq != nullptr ? &exact_slice : nullptr, &p.stats, top_k,
+            filtering_verifier, deadline, &p.truncated, &p.cut);
+        seconds[s] = timer.ElapsedSeconds();
       });
     }
     Status st = group.WaitAll();
@@ -241,9 +216,8 @@ std::vector<SimilarMatch> ShardedSimilarRun(
   }
   Stopwatch merge_timer;
   std::vector<SimilarMatch> out =
-      MergeShardSimilar(partials, top_k, stats, truncated, cut_phase);
-  AppendShardSpans(trace, "shard-similar", seconds);
-  RecordScatterMetrics(seconds, merge_timer.ElapsedSeconds());
+      MergeShardSimilar(partials, top_k, stats, truncated);
+  RecordScatter(trace, "shard-similar", seconds, merge_timer.ElapsedSeconds());
   return out;
 }
 

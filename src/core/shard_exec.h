@@ -1,6 +1,12 @@
-// Shard-parallel RUN phases: scatter per-shard work over a ShardedSnapshot
-// on a (shared) thread pool, gather per-shard partial results, and merge
-// them into exactly what the single-threaded path would have produced.
+// The RUN phases, scattered over graph-id shards — the one execution path
+// of every Run(). PRAGUE's database is a set of independent data graphs,
+// so exact verification and similarity generation partition cleanly by
+// graph id. A shard is a contiguous range [begin, end) of the pinned
+// snapshot's ids, computed per run from |D| (ShardPlan::Make); a shard
+// task restricts the run's global candidate sets to its range, so no
+// per-shard index state exists. shards=1 is one range over the whole
+// database, run inline on the caller's thread (TaskGroup's null-pool
+// mode): no shard spans, no shard metrics.
 //
 // The merge discipline is the HistogramSnapshot one — partial results
 // combine exactly, never approximately:
@@ -31,12 +37,42 @@
 #include "core/results.h"
 #include "core/spig.h"
 #include "graph/graph_database.h"
-#include "index/sharded_snapshot.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
 #include "util/id_set.h"
+#include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace prague {
+
+/// \brief One shard: the contiguous graph-id range [begin, end).
+struct ShardRange {
+  GraphId begin = 0;
+  GraphId end = 0;
+
+  /// \brief \p set ∩ [begin, end). Shares \p set's buffer when every id
+  /// already lies in the range (always, for a single whole-database shard).
+  IdSet Restrict(const IdSet& set) const { return set.Slice(begin, end); }
+};
+
+/// \brief How one Run() scatters: the shard ranges and the pool their
+/// tasks run on (null = inline on the calling thread).
+struct ShardPlan {
+  std::vector<ShardRange> ranges;
+  ThreadPool* pool = nullptr;
+
+  /// \brief Splits [0, \p db_size) into ShardCount(\p shards, \p db_size)
+  /// near-equal contiguous ranges; into one range when \p pool is null. A
+  /// single range never uses \p pool.
+  static ShardPlan Make(size_t db_size, size_t shards, ThreadPool* pool);
+
+  /// \brief Number of ranges (>= 1).
+  size_t shard_count() const { return ranges.size(); }
+};
+
+/// \brief \p requested clamped to [1, max(1, \p db_size)], so every shard
+/// of a non-empty database is non-empty.
+size_t ShardCount(size_t requested, size_t db_size);
 
 /// \brief One shard's contribution to a similarity run.
 struct ShardSimilarPartial {
@@ -49,51 +85,42 @@ struct ShardSimilarPartial {
   /// shard emitted strictly before this bucket is complete; its matches
   /// inside the bucket are the emitted prefix.
   SimilarGenCut cut;
-  /// Phase the cut landed in: kSimilarCandidates when the per-shard
-  /// Algorithm-4 walk was cut (the cut bucket is then the first underived
-  /// level), kSimilarGeneration for a generation cut.
-  RunPhase cut_phase = RunPhase::kNone;
-  /// Task wall time (feeds the imbalance metric).
-  double seconds = 0;
 };
 
 /// \brief Merges per-shard similarity partials into the global result.
 /// Pure function of its inputs — exposed so the determinism property tests
 /// can drive it directly. \p stats sums the work of every shard (matches
-/// the merge drops were still verified); \p truncated/\p cut_phase report
-/// the earliest cut when one exists.
+/// the merge drops were still verified); \p truncated reports whether the
+/// earliest cut shortened the merged result.
 std::vector<SimilarMatch> MergeShardSimilar(
     const std::vector<ShardSimilarPartial>& partials, size_t top_k,
-    SimilarGenStats* stats, bool* truncated, RunPhase* cut_phase);
+    SimilarGenStats* stats, bool* truncated);
 
 /// \brief ExactVerification scattered over \p plan's shards: per shard a
-/// sequential scan of rq ∩ shard-range, gathered in shard (= graph-id)
-/// order with prefix-consistent truncation at the first truncated shard.
+/// sequential scan of rq ∩ range, gathered in shard (= graph-id) order
+/// with prefix-consistent truncation at the first truncated shard.
 /// Bit-identical to ExactVerification(q, rq, ...) when nothing truncates.
-/// Appends per-shard "shard-exact-verification" spans to \p trace. A task
-/// failure (escaped exception, captured by the TaskGroup) is reported
-/// through \p error; the caller should treat the results as unusable.
+/// When the plan has several shards, appends per-shard
+/// "shard-exact-verification" spans to \p trace. A task failure (escaped
+/// exception, captured by the TaskGroup) is reported through \p error; the
+/// caller should treat the results as unusable.
 std::vector<GraphId> ShardedExactVerification(
     const Graph& q, const IdSet& rq, const GraphDatabase& db,
     const ShardPlan& plan, const Deadline& deadline,
     VerificationOutcome* outcome, obs::RunTrace* trace = nullptr,
     Status* error = nullptr);
 
-/// \brief The similarity path scattered over \p plan's shards. Each shard
-/// task derives its candidates from its own index slices (Algorithm 4 on
-/// the shard — or restricts \p formulation_cands when non-null, the
-/// simFlag warm path) and immediately generates its matches against the
-/// shard's slice of \p exact_rq, keeping candidate state shard-local until
-/// the final merge. Results are bit-identical to the unsharded
-/// SimilarSubCandidates + SimilarResultsGen composition; truncation is
-/// merged prefix-consistently (see MergeShardSimilar). Appends per-shard
-/// "shard-similar" spans to \p trace.
+/// \brief SimilarResultsGen scattered over \p plan's shards: each shard
+/// task restricts \p cands and \p exact_rq to its range and generates its
+/// matches. Results are bit-identical to SimilarResultsGen over the whole
+/// database; truncation is merged prefix-consistently (see
+/// MergeShardSimilar). When the plan has several shards, appends
+/// per-shard "shard-similar" spans to \p trace.
 std::vector<SimilarMatch> ShardedSimilarRun(
-    const Graph& q, const SpigSet& spigs,
-    const SimilarCandidates* formulation_cands, int sigma,
-    const GraphDatabase& db, const IdSet* exact_rq, SimilarGenStats* stats,
-    size_t top_k, bool filtering_verifier, const Deadline& deadline,
-    const ShardPlan& plan, bool* truncated, RunPhase* cut_phase,
+    const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
+    int sigma, const GraphDatabase& db, const IdSet* exact_rq,
+    SimilarGenStats* stats, size_t top_k, bool filtering_verifier,
+    const Deadline& deadline, const ShardPlan& plan, bool* truncated,
     obs::RunTrace* trace = nullptr, Status* error = nullptr);
 
 }  // namespace prague

@@ -430,10 +430,14 @@ class PragueServer::EventLoop {
     int victim = ::accept4(server_->listen_fd_, nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
     bool drained = victim >= 0;
-    if (drained) ::close(victim);
+    if (drained) {
+      // Counted before the close: the peer observes the close, and the
+      // counter must already reflect the shed by then.
+      obs::ServerMetrics::Get().accepts_shed_total->Increment();
+      ::close(victim);
+    }
     server_->spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
     if (drained) {
-      obs::ServerMetrics::Get().accepts_shed_total->Increment();
       // Bounded logging: power-of-two sheds only, so a connect storm
       // cannot turn into a log storm.
       uint64_t n = ++sheds_;

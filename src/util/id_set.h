@@ -113,10 +113,11 @@ class IdSet {
 
   /// \brief The subset of ids in the half-open range [\p begin, \p end).
   /// When every id already lies in the range the result shares this set's
-  /// buffer (no copy), which is what keeps sharded index slices cheap: a
-  /// typical FSG set is concentrated in few shards, so most slices either
-  /// alias the original or come out empty. Slicing a borrowed set yields a
-  /// borrowed sub-span sharing the same owner — also no copy.
+  /// buffer (no copy), which is what keeps restricting a run's candidate
+  /// sets to its shard ranges cheap: a typical set is concentrated in few
+  /// shards, so most slices either alias the original or come out empty.
+  /// Slicing a borrowed set yields a borrowed sub-span sharing the same
+  /// owner — also no copy.
   IdSet Slice(GraphId begin, GraphId end) const;
 
   /// \brief Pointer to the first id (null only when empty).

@@ -1,6 +1,6 @@
-// Minimal fixed-size thread pool used to parallelize verification
+// Minimal fixed-size thread pool used for shard-parallel query execution
 // (subgraph-isomorphism tests dominate SRT; they are embarrassingly
-// parallel across candidate graphs) and shard-parallel query execution.
+// parallel across candidate graphs) and the parallel SPIG build.
 //
 // Waiting discipline: ThreadPool::Wait() blocks until the pool as a whole
 // drains, which is only meaningful when one caller owns the pool. Any code

@@ -1,16 +1,14 @@
-// ThreadPool, parallel-verification, and parallel-SPIG-construction
-// correctness: parallel results must be byte-identical to sequential
-// ones, and the memoized candidate engine must answer exactly like the
-// cold path.
+// ThreadPool and parallel-SPIG-construction correctness: parallel results
+// must be byte-identical to sequential ones, and the memoized candidate
+// engine must answer exactly like the cold path. Run()-time parallelism is
+// the shard scatter, tested on a real pool in test_sharded.cc.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 
 #include "core/candidates.h"
 #include "core/prague_session.h"
-#include "core/results.h"
 #include "datasets/query_workload.h"
 #include "test_fixtures.h"
 #include "util/rng.h"
@@ -72,70 +70,6 @@ TEST(ThreadPoolTest, AtLeastOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
 }
-
-TEST(ParallelVerificationTest, ExactVerificationMatchesSequential) {
-  const auto& fixture = testing::AidsFixture::Get();
-  WorkloadGenerator workload(&fixture.db, 77);
-  Result<VisualQuerySpec> spec = workload.ContainmentQuery(5, "pv");
-  ASSERT_TRUE(spec.ok());
-  IdSet all = fixture.db.AllIds();
-  ThreadPool pool(4);
-  std::vector<GraphId> sequential =
-      ExactVerification(spec->graph, all, fixture.db);
-  std::vector<GraphId> parallel =
-      ExactVerification(spec->graph, all, fixture.db, &pool);
-  EXPECT_EQ(sequential, parallel);
-  EXPECT_FALSE(sequential.empty());
-}
-
-void Feed(PragueSession* session, const Graph& q,
-          const std::vector<EdgeId>& sequence) {
-  std::map<NodeId, NodeId> node_map;
-  auto user_node = [&](NodeId n) {
-    auto it = node_map.find(n);
-    if (it != node_map.end()) return it->second;
-    NodeId u = session->AddNode(q.NodeLabel(n));
-    node_map.emplace(n, u);
-    return u;
-  };
-  for (EdgeId e : sequence) {
-    const Edge& edge = q.GetEdge(e);
-    if (!session->AddEdge(user_node(edge.u), user_node(edge.v), edge.label)
-             .ok()) {
-      std::abort();
-    }
-  }
-}
-
-class ParallelRunTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ParallelRunTest, SimilarityResultsIdenticalAcrossThreadCounts) {
-  const auto& fixture = testing::AidsFixture::Get();
-  WorkloadGenerator workload(&fixture.db, 700 + GetParam());
-  Result<VisualQuerySpec> spec = workload.SimilarityQuery(6, 2, "p");
-  ASSERT_TRUE(spec.ok());
-  auto run = [&](size_t threads) {
-    PragueConfig config;
-    config.sigma = 3;
-    config.verification_threads = threads;
-    PragueSession session(fixture.snapshot, config);
-    Feed(&session, spec->graph, spec->sequence);
-    Result<QueryResults> results = session.Run(nullptr);
-    if (!results.ok()) std::abort();
-    return *results;
-  };
-  QueryResults one = run(1);
-  QueryResults four = run(4);
-  EXPECT_EQ(one.similarity, four.similarity);
-  EXPECT_EQ(one.exact, four.exact);
-  ASSERT_EQ(one.similar.size(), four.similar.size());
-  for (size_t i = 0; i < one.similar.size(); ++i) {
-    EXPECT_EQ(one.similar[i], four.similar[i]) << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelRunTest,
-                         ::testing::Range<uint64_t>(0, 6));
 
 // Asserts session `b` carries exactly the SPIG set of session `a`: every
 // connected edge subset resolves (via the by-mask lookup) to a vertex

@@ -1,24 +1,26 @@
-// Shard-parallel execution: a ShardedSnapshot partitions one snapshot by
-// graph id, Run() scatters per-shard work and gathers merged results that
-// must be BIT-IDENTICAL to the single-shard path — including under
-// deadlines and cancellation (prefix-consistent truncation) — and the
-// COW-preserving append reuses interior shards structurally.
+// Shard-parallel execution: Run() splits its phases over contiguous
+// graph-id ranges of the pinned snapshot and merges per-shard results.
+// Every shard count — 1 included, which is the same path run inline — must
+// return exactly what an index-free oracle says (VF2-free brute-force
+// isomorphism for containment, ComputeMccs for similarity), in the same
+// canonical order at every count, with prefix-consistent truncation under
+// deadlines and cancellation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/gblender.h"
 #include "core/prague_session.h"
 #include "core/session_manager.h"
 #include "core/shard_exec.h"
 #include "datasets/query_workload.h"
-#include "index/index_maintenance.h"
-#include "index/sharded_snapshot.h"
+#include "graph/brute_force_iso.h"
+#include "obs/metrics.h"
 #include "test_fixtures.h"
 #include "util/deadline.h"
 #include "util/thread_pool.h"
@@ -31,8 +33,7 @@ using testing::kN;
 using testing::kS;
 
 // Feeds a query spec into a session (same idiom as test_session.cc).
-template <typename Session>
-void Feed(Session* session, const Graph& q,
+void Feed(PragueSession* session, const Graph& q,
           const std::vector<EdgeId>& sequence) {
   std::map<NodeId, NodeId> node_map;
   auto user_node = [&](NodeId n) {
@@ -80,81 +81,212 @@ const VisualQuerySpec& SimilarAidsQuery() {
   return *spec;
 }
 
-const size_t kShardCounts[] = {2, 4, 7};
+// The three ways a Run() produces its answer.
+enum class Mode {
+  kExact,     // containment: verification of Rq
+  kFallback,  // verification found nothing; similarity candidates derived
+              // at Run() time (Algorithm 1 lines 19-21)
+  kWarm,      // simFlag set before Run(); formulation-time candidates
+};
+
+const char* ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kExact:
+      return "exact";
+    case Mode::kFallback:
+      return "fallback";
+    case Mode::kWarm:
+      return "warm";
+  }
+  return "?";
+}
+
+const Mode kModes[] = {Mode::kExact, Mode::kFallback, Mode::kWarm};
+
+const VisualQuerySpec& QueryFor(Mode mode) {
+  return mode == Mode::kFallback ? SimilarAidsQuery() : ExactAidsQuery();
+}
+
+// Shards 1 (inline) through 7 (more shards than pool workers).
+const size_t kShardCounts[] = {1, 2, 4, 7};
+
+std::shared_ptr<ThreadPool> SharedPool() {
+  static auto* pool = new std::shared_ptr<ThreadPool>(
+      std::make_shared<ThreadPool>(4));
+  return *pool;
+}
+
+PragueConfig ShardedConfig(size_t shards) {
+  PragueConfig config;
+  config.shards = shards;
+  config.shard_pool = SharedPool();
+  return config;
+}
+
+// A session with `mode`'s query formulated and ready to Run().
+std::unique_ptr<PragueSession> Formulated(Mode mode,
+                                          const PragueConfig& config) {
+  const auto& fixture = testing::AidsFixture::Get();
+  const VisualQuerySpec& spec = QueryFor(mode);
+  auto session = std::make_unique<PragueSession>(fixture.snapshot, config);
+  Feed(session.get(), spec.graph, spec.sequence);
+  if (mode == Mode::kWarm && !session->EnableSimilarity().ok()) std::abort();
+  return session;
+}
+
+// Whether Run() touches the database: every mode but an exact query whose
+// full graph is an indexed frequent fragment or DIF (its Rq is the answer).
+bool DoesDatabaseWork(Mode mode, const PragueSession& session) {
+  if (mode != Mode::kExact) return true;
+  const SpigVertex* target =
+      session.spigs().FindVertex(session.query().FullMask());
+  if (target == nullptr) std::abort();
+  return !(target->frag.IsFrequent() || target->frag.IsDif());
+}
+
+// --- Oracles: no index, no SPIG, no VF2. ---------------------------------
+
+// Ascending ids of the graphs containing q, by exhaustive isomorphism.
+const std::vector<GraphId>& ExactOracle(const VisualQuerySpec& spec) {
+  static std::map<const VisualQuerySpec*, std::vector<GraphId>> cache;
+  auto it = cache.find(&spec);
+  if (it != cache.end()) return it->second;
+  const auto& fixture = testing::AidsFixture::Get();
+  std::vector<GraphId> out;
+  for (GraphId gid = 0; gid < fixture.db.size(); ++gid) {
+    if (BruteForceSubgraphIsomorphic(spec.graph, fixture.db.graph(gid))) {
+      out.push_back(gid);
+    }
+  }
+  return cache.emplace(&spec, std::move(out)).first->second;
+}
+
+// gid → dist(q, g) for every graph within σ, by ComputeMccs.
+const std::map<GraphId, int>& SimilarOracle(const VisualQuerySpec& spec,
+                                            int sigma) {
+  static std::map<std::pair<const VisualQuerySpec*, int>,
+                  std::map<GraphId, int>>
+      cache;
+  auto key = std::make_pair(&spec, sigma);
+  auto it = cache.find(key);
+  if (it != cache.end()) return it->second;
+  const auto& fixture = testing::AidsFixture::Get();
+  std::vector<std::pair<GraphId, int>> hits =
+      testing::BruteForceSimilaritySearch(fixture.db, spec.graph, sigma);
+  return cache.emplace(key, std::map<GraphId, int>(hits.begin(), hits.end()))
+      .first->second;
+}
+
+// Similarity answers against the oracle: distinct graphs, each at its true
+// distance, in non-decreasing distance order; complete when top_k is 0,
+// otherwise exactly the min(k, |oracle|) most similar graphs.
+void ExpectSimilarMatchesOracle(const std::vector<SimilarMatch>& got,
+                                const std::map<GraphId, int>& oracle,
+                                size_t top_k) {
+  std::map<GraphId, int> seen;
+  int last_distance = 0;
+  for (const SimilarMatch& m : got) {
+    auto it = oracle.find(m.gid);
+    ASSERT_NE(it, oracle.end()) << "g" << m.gid << " is not within sigma";
+    EXPECT_EQ(m.distance, it->second) << "g" << m.gid;
+    EXPECT_GE(m.distance, last_distance) << "g" << m.gid;
+    last_distance = m.distance;
+    EXPECT_TRUE(seen.emplace(m.gid, m.distance).second) << "dup g" << m.gid;
+  }
+  if (top_k == 0) {
+    EXPECT_EQ(got.size(), oracle.size());
+    return;
+  }
+  EXPECT_EQ(got.size(), std::min(top_k, oracle.size()));
+  for (const auto& [gid, distance] : oracle) {
+    if (!seen.contains(gid)) {
+      EXPECT_GE(distance, last_distance) << "g" << gid << " was skipped";
+    }
+  }
+}
+
+void ExpectMatchesOracle(Mode mode, const QueryResults& got, int sigma,
+                         size_t top_k = 0) {
+  EXPECT_FALSE(got.truncated);
+  const VisualQuerySpec& spec = QueryFor(mode);
+  if (mode == Mode::kExact) {
+    ASSERT_FALSE(got.similarity);
+    EXPECT_EQ(got.exact, ExactOracle(spec));
+    return;
+  }
+  ASSERT_TRUE(got.similarity);
+  EXPECT_TRUE(got.exact.empty());
+  ExpectSimilarMatchesOracle(got.similar, SimilarOracle(spec, sigma), top_k);
+}
+
+void ExpectSameResults(const QueryResults& got, const QueryResults& want) {
+  EXPECT_EQ(got.similarity, want.similarity);
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(got.similar, want.similar);
+}
+
+// `part` is a prefix of the unbounded answer `full`, and equal to it when
+// nothing was cut.
+void ExpectPrefixOf(const QueryResults& part, const QueryResults& full) {
+  if (part.similarity != full.similarity) {
+    // Cut in exact verification before the similarity fallback: nothing
+    // was decided yet.
+    EXPECT_TRUE(part.truncated);
+    EXPECT_TRUE(part.exact.empty());
+    EXPECT_TRUE(part.similar.empty());
+    return;
+  }
+  ASSERT_LE(part.exact.size(), full.exact.size());
+  EXPECT_TRUE(std::equal(part.exact.begin(), part.exact.end(),
+                         full.exact.begin()));
+  ASSERT_LE(part.similar.size(), full.similar.size());
+  EXPECT_TRUE(std::equal(part.similar.begin(), part.similar.end(),
+                         full.similar.begin()));
+  if (!part.truncated) ExpectSameResults(part, full);
+}
 
 // ---------------------------------------------------------------------------
-// ShardedSnapshot: partitioning and the COW-preserving append.
+// ShardPlan: ranges over the pinned database.
 
-TEST(ShardedSnapshotTest, PartitionIsContiguousAndExhaustive) {
-  const auto& fixture = testing::AidsFixture::Get();
-  for (size_t shards : kShardCounts) {
-    ShardedSnapshot::Ptr view = ShardedSnapshot::Make(fixture.snapshot, shards);
-    ASSERT_EQ(view->shard_count(), shards);
-    GraphId expect_begin = 0;
-    for (size_t s = 0; s < shards; ++s) {
-      const IndexShard& shard = view->shard(s);
-      EXPECT_EQ(shard.ordinal(), s);
-      EXPECT_EQ(shard.begin(), expect_begin);
-      EXPECT_GT(shard.end(), shard.begin());  // clamped: never empty
-      expect_begin = shard.end();
+TEST(ShardPlanTest, RangesAreContiguousAndExhaustive) {
+  for (size_t db_size : {1u, 6u, 300u}) {
+    for (size_t shards : kShardCounts) {
+      ShardPlan plan = ShardPlan::Make(db_size, shards, SharedPool().get());
+      ASSERT_EQ(plan.shard_count(), std::min(shards, db_size));
+      GraphId expect_begin = 0;
+      for (const ShardRange& range : plan.ranges) {
+        EXPECT_EQ(range.begin, expect_begin);
+        EXPECT_GT(range.end, range.begin);  // clamped: never empty
+        expect_begin = range.end;
+      }
+      EXPECT_EQ(expect_begin, static_cast<GraphId>(db_size));
     }
-    EXPECT_EQ(expect_begin, static_cast<GraphId>(fixture.db.size()));
   }
 }
 
-TEST(ShardedSnapshotTest, ShardCountIsClamped) {
-  const auto& tiny = testing::TinyFixture::Get();
-  EXPECT_EQ(ShardedSnapshot::Make(tiny.snapshot, 0)->shard_count(), 1u);
-  // More shards than graphs: clamp to |D| so every shard is non-empty.
-  EXPECT_LE(ShardedSnapshot::Make(tiny.snapshot, 1000)->shard_count(),
-            tiny.db.size());
+TEST(ShardPlanTest, ShardCountIsClamped) {
+  EXPECT_EQ(ShardCount(0, 300), 1u);
+  EXPECT_EQ(ShardCount(1000, 6), 6u);
+  // An empty database still runs: one empty range.
+  ShardPlan empty = ShardPlan::Make(0, 4, SharedPool().get());
+  ASSERT_EQ(empty.shard_count(), 1u);
+  EXPECT_EQ(empty.ranges[0].begin, empty.ranges[0].end);
 }
 
-TEST(ShardedSnapshotTest, SlicesPartitionEveryIndexedSet) {
-  const auto& fixture = testing::AidsFixture::Get();
-  ShardedSnapshot::Ptr view = ShardedSnapshot::Make(fixture.snapshot, 4);
-  // Union of the per-shard A2F slices must reassemble the global FSG set;
-  // the shards' ranges are disjoint so UnionWith in shard order is exactly
-  // concatenation.
-  for (A2fId id = 0; id < fixture.indexes.a2f.VertexCount(); ++id) {
-    IdSet reassembled;
-    for (size_t s = 0; s < view->shard_count(); ++s) {
-      reassembled.UnionWith(view->shard(s).A2fFsgIds(id));
-    }
-    ASSERT_EQ(reassembled, fixture.indexes.a2f.FsgIds(id)) << "a2f id " << id;
-  }
-  for (A2iId id = 0; id < fixture.indexes.a2i.EntryCount(); ++id) {
-    IdSet reassembled;
-    for (size_t s = 0; s < view->shard_count(); ++s) {
-      reassembled.UnionWith(view->shard(s).A2iFsgIds(id));
-    }
-    ASSERT_EQ(reassembled, fixture.indexes.a2i.FsgIds(id)) << "a2i id " << id;
-  }
+TEST(ShardPlanTest, SingleShardRunsInline) {
+  EXPECT_EQ(ShardPlan::Make(300, 1, SharedPool().get()).pool, nullptr);
+  EXPECT_EQ(ShardPlan::Make(300, 4, SharedPool().get()).pool,
+            SharedPool().get());
 }
 
-TEST(ShardedSnapshotTest, AppendReusesInteriorShardsStructurally) {
-  const auto& tiny = testing::TinyFixture::Get();
-  ShardedSnapshot::Ptr prior = ShardedSnapshot::Make(tiny.snapshot, 3);
-  ASSERT_EQ(prior->shard_count(), 3u);
-  std::vector<Graph> extra = {
-      testing::MakeGraph({kC, kS, kC}, {{0, 1}, {1, 2}})};
-  Result<SnapshotAppendResult> appended =
-      AppendGraphs(*tiny.snapshot, extra, /*alpha=*/0.34);
-  ASSERT_TRUE(appended.ok());
-  ShardedSnapshot::Ptr next =
-      ShardedSnapshot::Append(prior, appended->snapshot);
-  ASSERT_EQ(next->shard_count(), 3u);
-  // Interior shards are the SAME objects (structural sharing), because a
-  // COW append only adds ids >= the old database size.
-  EXPECT_EQ(next->shard_ptr(0), prior->shard_ptr(0));
-  EXPECT_EQ(next->shard_ptr(1), prior->shard_ptr(1));
-  // The last shard was rebuilt over its extended range.
-  EXPECT_NE(next->shard_ptr(2), prior->shard_ptr(2));
-  EXPECT_EQ(next->shard(2).end(),
-            static_cast<GraphId>(appended->snapshot->db().size()));
-  // The old view still partitions the OLD snapshot — publish-while-
-  // querying: a session pinning `prior` never sees the appended ids.
-  EXPECT_EQ(prior->shard(2).end(), static_cast<GraphId>(tiny.db.size()));
+TEST(ShardPlanTest, NoPoolRunsAsOneShard) {
+  // Splitting with nothing to scatter to would only add merge cost.
+  ShardPlan plan = ShardPlan::Make(300, 4, nullptr);
+  ASSERT_EQ(plan.shard_count(), 1u);
+  EXPECT_EQ(plan.ranges[0].begin, 0u);
+  EXPECT_EQ(plan.ranges[0].end, 300u);
+  EXPECT_EQ(plan.pool, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,15 +304,13 @@ TEST(ShardMergeTest, ConcatenatesBucketsInShardOrder) {
   partials.push_back(MakePartial({{0, 1, false}, {2, 1, true}, {4, 2, false}}));
   partials.push_back(MakePartial({{7, 1, false}, {9, 2, false}}));
   bool truncated = false;
-  RunPhase phase = RunPhase::kNone;
   SimilarGenStats stats;
   std::vector<SimilarMatch> merged =
-      MergeShardSimilar(partials, /*top_k=*/0, &stats, &truncated, &phase);
+      MergeShardSimilar(partials, /*top_k=*/0, &stats, &truncated);
   std::vector<SimilarMatch> expected = {
       {0, 1, false}, {7, 1, false}, {2, 1, true}, {4, 2, false}, {9, 2, false}};
   EXPECT_EQ(merged, expected);
   EXPECT_FALSE(truncated);
-  EXPECT_EQ(phase, RunPhase::kNone);
 }
 
 TEST(ShardMergeTest, StopsAtEarliestCutBucket) {
@@ -191,18 +321,15 @@ TEST(ShardMergeTest, StopsAtEarliestCutBucket) {
   partials.push_back(MakePartial({{0, 1, false}, {4, 2, false}}));
   partials[0].truncated = true;
   partials[0].cut = SimilarGenCut{2, false};
-  partials[0].cut_phase = RunPhase::kSimilarGeneration;
   partials.push_back(
       MakePartial({{7, 1, false}, {8, 2, false}, {9, 2, true}}));
   bool truncated = false;
-  RunPhase phase = RunPhase::kNone;
   std::vector<SimilarMatch> merged =
-      MergeShardSimilar(partials, 0, nullptr, &truncated, &phase);
+      MergeShardSimilar(partials, 0, nullptr, &truncated);
   std::vector<SimilarMatch> expected = {
       {0, 1, false}, {7, 1, false}, {4, 2, false}};
   EXPECT_EQ(merged, expected);
   EXPECT_TRUE(truncated);
-  EXPECT_EQ(phase, RunPhase::kSimilarGeneration);
 }
 
 TEST(ShardMergeTest, TopKBeforeCutIsNotTruncated) {
@@ -212,14 +339,11 @@ TEST(ShardMergeTest, TopKBeforeCutIsNotTruncated) {
   partials.push_back(MakePartial({{0, 1, false}, {1, 1, false}}));
   partials[0].truncated = true;
   partials[0].cut = SimilarGenCut{3, false};
-  partials[0].cut_phase = RunPhase::kSimilarGeneration;
   bool truncated = false;
-  RunPhase phase = RunPhase::kNone;
   std::vector<SimilarMatch> merged =
-      MergeShardSimilar(partials, /*top_k=*/2, nullptr, &truncated, &phase);
+      MergeShardSimilar(partials, /*top_k=*/2, nullptr, &truncated);
   EXPECT_EQ(merged.size(), 2u);
   EXPECT_FALSE(truncated);
-  EXPECT_EQ(phase, RunPhase::kNone);
 }
 
 TEST(ShardMergeTest, SumsStatsAcrossAllShards) {
@@ -232,7 +356,7 @@ TEST(ShardMergeTest, SumsStatsAcrossAllShards) {
     partials[s].stats.nodes_expanded = 5;
   }
   SimilarGenStats stats;
-  MergeShardSimilar(partials, 0, &stats, nullptr, nullptr);
+  MergeShardSimilar(partials, 0, &stats, nullptr);
   EXPECT_EQ(stats.verified, 3u);
   EXPECT_EQ(stats.rejected, 6u);
   EXPECT_EQ(stats.verification_free, 9u);
@@ -241,235 +365,288 @@ TEST(ShardMergeTest, SumsStatsAcrossAllShards) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end determinism: shards=N is bit-identical to shards=1.
+// End to end: every shard count returns the oracle's answer, in one order.
 
-PragueConfig ShardedConfig(size_t shards) {
-  PragueConfig config;
-  config.shards = shards;
-  return config;
-}
-
-void ExpectSameResults(const QueryResults& got, const QueryResults& want) {
-  EXPECT_EQ(got.similarity, want.similarity);
-  EXPECT_EQ(got.truncated, want.truncated);
-  EXPECT_EQ(got.exact, want.exact);
-  EXPECT_EQ(got.similar, want.similar);
-}
-
-TEST(ShardDeterminismTest, ExactRunMatchesUnsharded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  const VisualQuerySpec& spec = ExactAidsQuery();
-  PragueSession baseline(fixture.snapshot);
-  Feed(&baseline, spec.graph, spec.sequence);
-  Result<QueryResults> want = baseline.Run(nullptr);
-  ASSERT_TRUE(want.ok());
-  for (size_t shards : kShardCounts) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    PragueSession session(fixture.snapshot, ShardedConfig(shards));
-    Feed(&session, spec.graph, spec.sequence);
-    RunStats stats;
-    Result<QueryResults> got = session.Run(&stats);
-    ASSERT_TRUE(got.ok());
-    ExpectSameResults(*got, *want);
-    // SRT invariant: the phase breakdown never exceeds the wall clock.
-    EXPECT_LE(stats.candidate_seconds + stats.verification_seconds +
-                  stats.similarity_seconds,
-              stats.srt_seconds + 1e-9);
-  }
-}
-
-TEST(ShardDeterminismTest, SimilarityRunMatchesUnsharded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  const VisualQuerySpec& spec = SimilarAidsQuery();
-  PragueSession baseline(fixture.snapshot);
-  Feed(&baseline, spec.graph, spec.sequence);
-  Result<QueryResults> want = baseline.Run(nullptr);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(want->similarity);
-  for (size_t shards : kShardCounts) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    PragueSession session(fixture.snapshot, ShardedConfig(shards));
-    Feed(&session, spec.graph, spec.sequence);
-    RunStats stats;
-    Result<QueryResults> got = session.Run(&stats);
-    ASSERT_TRUE(got.ok());
-    ExpectSameResults(*got, *want);
-    EXPECT_LE(stats.candidate_seconds + stats.verification_seconds +
-                  stats.similarity_seconds,
-              stats.srt_seconds + 1e-9);
-    // The trace carries one per-shard span per shard task of each
-    // scattered phase (this query runs exact verification, finds nothing,
-    // and falls back to similarity — two scatters), plus the ordinary
-    // whole-run spans.
-    const obs::RunTrace& trace = session.last_run_trace();
-    std::map<std::string, size_t> shard_spans;
-    for (const obs::SpanRecord& span : trace.spans) {
-      if (span.shard >= 0) ++shard_spans[span.name];
-    }
-    EXPECT_FALSE(shard_spans.empty());
-    for (const auto& [name, count] : shard_spans) {
-      EXPECT_EQ(count, shards) << name;
-    }
-  }
-}
-
-TEST(ShardDeterminismTest, TopKMatchesUnsharded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  const VisualQuerySpec& spec = SimilarAidsQuery();
-  for (size_t top_k : {1u, 5u, 20u}) {
-    PragueConfig base_config;
-    base_config.top_k = top_k;
-    PragueSession baseline(fixture.snapshot, base_config);
-    Feed(&baseline, spec.graph, spec.sequence);
-    Result<QueryResults> want = baseline.Run(nullptr);
+TEST(ShardDeterminismTest, EveryModeMatchesOracleAtEveryShardCount) {
+  for (Mode mode : kModes) {
+    std::unique_ptr<PragueSession> reference = Formulated(mode, PragueConfig());
+    Result<QueryResults> want = reference->Run(nullptr);
     ASSERT_TRUE(want.ok());
     for (size_t shards : kShardCounts) {
-      SCOPED_TRACE("top_k " + std::to_string(top_k) + " shards " +
+      SCOPED_TRACE(std::string(ModeName(mode)) + " shards " +
                    std::to_string(shards));
-      PragueConfig config = ShardedConfig(shards);
-      config.top_k = top_k;
-      PragueSession session(fixture.snapshot, config);
-      Feed(&session, spec.graph, spec.sequence);
-      Result<QueryResults> got = session.Run(nullptr);
+      std::unique_ptr<PragueSession> session =
+          Formulated(mode, ShardedConfig(shards));
+      RunStats stats;
+      Result<QueryResults> got = session->Run(&stats);
       ASSERT_TRUE(got.ok());
+      ExpectMatchesOracle(mode, *got, session->sigma());
       ExpectSameResults(*got, *want);
+      // SRT invariant: the phase breakdown never exceeds the wall clock.
+      EXPECT_LE(stats.candidate_seconds + stats.verification_seconds +
+                    stats.similarity_seconds,
+                stats.srt_seconds + 1e-9);
     }
   }
 }
 
-TEST(ShardDeterminismTest, PreExpiredDeadlineMatchesUnsharded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  for (const VisualQuerySpec* spec : {&ExactAidsQuery(), &SimilarAidsQuery()}) {
-    PragueSession baseline(fixture.snapshot);
-    Feed(&baseline, spec->graph, spec->sequence);
+TEST(ShardDeterminismTest, TopKMatchesOracle) {
+  for (Mode mode : {Mode::kFallback, Mode::kWarm}) {
+    for (size_t top_k : {1u, 5u, 20u}) {
+      for (size_t shards : kShardCounts) {
+        SCOPED_TRACE(std::string(ModeName(mode)) + " top_k " +
+                     std::to_string(top_k) + " shards " +
+                     std::to_string(shards));
+        PragueConfig config = ShardedConfig(shards);
+        config.top_k = top_k;
+        std::unique_ptr<PragueSession> session = Formulated(mode, config);
+        Result<QueryResults> got = session->Run(nullptr);
+        ASSERT_TRUE(got.ok());
+        ExpectMatchesOracle(mode, *got, session->sigma(), top_k);
+      }
+    }
+  }
+}
+
+// A run cut before it starts, by an expired deadline or a fired token: when
+// the run touches the database, every shard count must see the cut (it is
+// polled inside the shard tasks), report where, and return a prefix of the
+// unbounded answer identical to the single-shard one.
+void ExpectCutBeforeStartAtEveryShardCount(const Deadline& cut) {
+  for (Mode mode : kModes) {
+    std::unique_ptr<PragueSession> unbounded = Formulated(mode, PragueConfig());
+    Result<QueryResults> full = unbounded->Run(nullptr);
+    ASSERT_TRUE(full.ok());
+    std::unique_ptr<PragueSession> reference = Formulated(mode, PragueConfig());
+    const bool database_work = DoesDatabaseWork(mode, *reference);
     RunStats want_stats;
-    Result<QueryResults> want =
-        baseline.Run(Deadline::AfterMillis(0), &want_stats);
+    Result<QueryResults> want = reference->Run(cut, &want_stats);
     ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(want->truncated);
+    EXPECT_EQ(want->truncated, database_work) << ModeName(mode);
     for (size_t shards : kShardCounts) {
-      SCOPED_TRACE("shards " + std::to_string(shards));
-      PragueSession session(fixture.snapshot, ShardedConfig(shards));
-      Feed(&session, spec->graph, spec->sequence);
+      SCOPED_TRACE(std::string(ModeName(mode)) + " shards " +
+                   std::to_string(shards));
+      std::unique_ptr<PragueSession> session =
+          Formulated(mode, ShardedConfig(shards));
       RunStats stats;
-      Result<QueryResults> got =
-          session.Run(Deadline::AfterMillis(0), &stats);
+      Result<QueryResults> got = session->Run(cut, &stats);
       ASSERT_TRUE(got.ok());
+      if (database_work) {
+        EXPECT_TRUE(got->truncated);
+        EXPECT_TRUE(stats.truncated);
+        EXPECT_NE(stats.deadline_phase, RunPhase::kNone);
+      }
+      ExpectPrefixOf(*got, *full);
       ExpectSameResults(*got, *want);
       EXPECT_EQ(stats.deadline_phase, want_stats.deadline_phase);
     }
   }
 }
 
-TEST(ShardDeterminismTest, PreFiredCancelMatchesUnsharded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  const VisualQuerySpec& spec = SimilarAidsQuery();
+TEST(ShardDeterminismTest, PreExpiredDeadlineIsPrefixAtEveryShardCount) {
+  ExpectCutBeforeStartAtEveryShardCount(Deadline::AfterMillis(0));
+}
+
+TEST(ShardDeterminismTest, PreFiredCancelIsPrefixAtEveryShardCount) {
   // Formulation steps poll the config token too, so the pre-fired token is
   // injected only at Run() time, via the deadline.
   CancellationToken fired;
   fired.RequestStop();
-  PragueSession reference(fixture.snapshot);
-  Feed(&reference, spec.graph, spec.sequence);
-  Result<QueryResults> want =
-      reference.Run(Deadline().WithToken(&fired), nullptr);
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(want->truncated);
-  for (size_t shards : kShardCounts) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    PragueSession sharded(fixture.snapshot, ShardedConfig(shards));
-    Feed(&sharded, spec.graph, spec.sequence);
-    Result<QueryResults> got =
-        sharded.Run(Deadline().WithToken(&fired), nullptr);
-    ASSERT_TRUE(got.ok());
-    ExpectSameResults(*got, *want);
-  }
+  ExpectCutBeforeStartAtEveryShardCount(Deadline().WithToken(&fired));
 }
 
 TEST(ShardDeterminismTest, MidRunCancelYieldsPrefixOfUnbounded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  const VisualQuerySpec& spec = SimilarAidsQuery();
-  PragueSession unbounded(fixture.snapshot);
-  Feed(&unbounded, spec.graph, spec.sequence);
-  Result<QueryResults> full = unbounded.Run(nullptr);
-  ASSERT_TRUE(full.ok());
-  ASSERT_FALSE(full->truncated);
-
-  for (size_t shards : kShardCounts) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    CancellationToken token;
-    PragueSession session(fixture.snapshot, ShardedConfig(shards));
-    Feed(&session, spec.graph, spec.sequence);
-    std::thread canceller([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      token.RequestStop();
-    });
-    Result<QueryResults> part =
-        session.Run(Deadline().WithToken(&token), nullptr);
-    canceller.join();
-    ASSERT_TRUE(part.ok());
-    // Whether or not the cancel landed in time, the output must be a
-    // prefix of the unbounded merged order.
-    ASSERT_LE(part->similar.size(), full->similar.size());
-    for (size_t i = 0; i < part->similar.size(); ++i) {
-      EXPECT_EQ(part->similar[i], full->similar[i]);
+  // A run here takes well under a millisecond, so the cancel is swept from
+  // "at once" upward until a run finishes before it lands.
+  size_t cut_runs = 0;
+  for (Mode mode : {Mode::kFallback, Mode::kWarm}) {
+    std::unique_ptr<PragueSession> unbounded = Formulated(mode, PragueConfig());
+    Result<QueryResults> full = unbounded->Run(nullptr);
+    ASSERT_TRUE(full.ok());
+    ASSERT_FALSE(full->truncated);
+    ExpectMatchesOracle(mode, *full, unbounded->sigma());
+    for (size_t shards : kShardCounts) {
+      std::unique_ptr<PragueSession> session =
+          Formulated(mode, ShardedConfig(shards));
+      for (int64_t delay_us = 0; delay_us <= 5120;
+           delay_us = delay_us == 0 ? 10 : delay_us * 2) {
+        SCOPED_TRACE(std::string(ModeName(mode)) + " shards " +
+                     std::to_string(shards) + " delay_us " +
+                     std::to_string(delay_us));
+        CancellationToken token;
+        std::thread canceller([&] {
+          std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+          token.RequestStop();
+        });
+        Result<QueryResults> part =
+            session->Run(Deadline().WithToken(&token), nullptr);
+        canceller.join();
+        ASSERT_TRUE(part.ok());
+        // Whether or not the cancel landed in time, the output must be a
+        // prefix of the unbounded merged order.
+        ExpectPrefixOf(*part, *full);
+        if (!part->truncated) break;
+        ++cut_runs;
+      }
     }
-    if (!part->truncated) {
-      EXPECT_EQ(part->similar, full->similar);
+  }
+  EXPECT_GT(cut_runs, 0u);
+}
+
+// The same sweep with time budgets, which land more precisely than a
+// cancel from another thread: every truncated answer must still be a
+// prefix of the unbounded one.
+TEST(ShardDeterminismTest, BudgetSweepCutsArePrefixesOfUnbounded) {
+  size_t cut_runs = 0;
+  for (Mode mode : {Mode::kFallback, Mode::kWarm}) {
+    std::unique_ptr<PragueSession> unbounded = Formulated(mode, PragueConfig());
+    Result<QueryResults> full = unbounded->Run(nullptr);
+    ASSERT_TRUE(full.ok());
+    for (size_t shards : kShardCounts) {
+      std::unique_ptr<PragueSession> session =
+          Formulated(mode, ShardedConfig(shards));
+      for (int64_t budget_us = 10; budget_us <= 20480; budget_us *= 2) {
+        SCOPED_TRACE(std::string(ModeName(mode)) + " shards " +
+                     std::to_string(shards) + " budget_us " +
+                     std::to_string(budget_us));
+        Result<QueryResults> part = session->Run(
+            Deadline::At(std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(budget_us)),
+            nullptr);
+        ASSERT_TRUE(part.ok());
+        ExpectPrefixOf(*part, *full);
+        if (!part->truncated) break;
+        ++cut_runs;
+      }
+    }
+  }
+  EXPECT_GT(cut_runs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// RunStats and RunTrace shape: a single shard looks like no sharding at
+// all; more shards only add per-shard spans and shard metrics.
+
+std::vector<std::string> WholeRunSpanNames(const obs::RunTrace& trace) {
+  std::vector<std::string> names;
+  for (const obs::SpanRecord& span : trace.spans) {
+    if (span.shard < 0) names.push_back(span.name);
+  }
+  return names;
+}
+
+std::map<std::string, size_t> ShardSpanCounts(const obs::RunTrace& trace) {
+  std::map<std::string, size_t> counts;
+  for (const obs::SpanRecord& span : trace.spans) {
+    if (span.shard >= 0) ++counts[span.name];
+  }
+  return counts;
+}
+
+TEST(ShardRunShapeTest, SingleShardRecordsNoShardSpansOrMetrics) {
+  obs::EngineMetrics& em = obs::EngineMetrics::Get();
+  // shards = 1 on a pool, and shards = 4 with no pool to scatter to.
+  PragueConfig no_pool;
+  no_pool.shards = 4;
+  for (Mode mode : kModes) {
+    for (const PragueConfig& config : {ShardedConfig(1), no_pool}) {
+      SCOPED_TRACE(std::string(ModeName(mode)) + " shards " +
+                   std::to_string(config.shards));
+      std::unique_ptr<PragueSession> session = Formulated(mode, config);
+      const bool verification_free = !DoesDatabaseWork(mode, *session);
+      const uint64_t runs_before = em.shard_runs_total->Value();
+      const uint64_t tasks_before = em.shard_tasks_total->Value();
+      RunStats stats;
+      ASSERT_TRUE(session->Run(&stats).ok());
+      EXPECT_EQ(em.shard_runs_total->Value(), runs_before);
+      EXPECT_EQ(em.shard_tasks_total->Value(), tasks_before);
+      const obs::RunTrace& trace = session->last_run_trace();
+      EXPECT_TRUE(ShardSpanCounts(trace).empty());
+      std::vector<std::string> want = {"formulation-spig",
+                                       "formulation-candidates"};
+      switch (mode) {
+        case Mode::kExact:
+          if (!verification_free) want.push_back("exact-verification");
+          break;
+        case Mode::kFallback:
+          want.push_back("exact-verification");
+          want.push_back("similar-candidates");
+          want.push_back("similar-generation");
+          EXPECT_GT(stats.candidate_seconds, 0);
+          break;
+        case Mode::kWarm:
+          want.push_back("similar-generation");
+          EXPECT_EQ(stats.candidate_seconds, 0);
+          break;
+      }
+      EXPECT_EQ(WholeRunSpanNames(trace), want);
+    }
+  }
+}
+
+TEST(ShardRunShapeTest, MoreShardsAddOnlyShardSpansAndMetrics) {
+  obs::EngineMetrics& em = obs::EngineMetrics::Get();
+  for (Mode mode : kModes) {
+    std::unique_ptr<PragueSession> single =
+        Formulated(mode, ShardedConfig(1));
+    RunStats want;
+    ASSERT_TRUE(single->Run(&want).ok());
+    const std::vector<std::string> want_names =
+        WholeRunSpanNames(single->last_run_trace());
+    // One scatter per whole-run phase that touches the database.
+    size_t scatters = 0;
+    for (const std::string& name : want_names) {
+      if (name == "exact-verification" || name == "similar-generation") {
+        ++scatters;
+      }
+    }
+    for (size_t shards : {2u, 4u, 7u}) {
+      SCOPED_TRACE(std::string(ModeName(mode)) + " shards " +
+                   std::to_string(shards));
+      std::unique_ptr<PragueSession> session =
+          Formulated(mode, ShardedConfig(shards));
+      const uint64_t runs_before = em.shard_runs_total->Value();
+      const uint64_t tasks_before = em.shard_tasks_total->Value();
+      RunStats stats;
+      ASSERT_TRUE(session->Run(&stats).ok());
+      EXPECT_EQ(em.shard_runs_total->Value() - runs_before, scatters);
+      EXPECT_EQ(em.shard_tasks_total->Value() - tasks_before,
+                scatters * shards);
+      const obs::RunTrace& trace = session->last_run_trace();
+      EXPECT_EQ(WholeRunSpanNames(trace), want_names);
+      std::map<std::string, size_t> shard_spans = ShardSpanCounts(trace);
+      EXPECT_EQ(shard_spans.size(), scatters);
+      for (const auto& [name, count] : shard_spans) {
+        EXPECT_EQ(count, shards) << name;
+      }
+      // The fallback derives its candidates before the scatter, as one
+      // shard does.
+      EXPECT_EQ(stats.candidate_seconds > 0, want.candidate_seconds > 0);
+      // Work counters do not depend on who did the work.
+      EXPECT_EQ(stats.verified, want.verified);
+      EXPECT_EQ(stats.rejected, want.rejected);
+      EXPECT_EQ(stats.nodes_expanded, want.nodes_expanded);
+      EXPECT_EQ(stats.similar.verification_free,
+                want.similar.verification_free);
+      EXPECT_EQ(stats.similar.verified, want.similar.verified);
+      EXPECT_EQ(stats.similar.rejected, want.similar.rejected);
+      EXPECT_EQ(stats.similar.vf2_calls, want.similar.vf2_calls);
+      EXPECT_EQ(stats.truncated, want.truncated);
+      EXPECT_EQ(stats.deadline_phase, want.deadline_phase);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// GBLENDER under the same substrate: sharded refinement and verification
-// stay bit-identical (the fair-baseline requirement).
+// SessionManager: shared pool, concurrent append, STATS exposure.
 
-TEST(ShardedGBlenderTest, CandidatesAndRunMatchUnsharded) {
-  const auto& fixture = testing::AidsFixture::Get();
-  const VisualQuerySpec& spec = ExactAidsQuery();
-  auto pool = std::make_shared<ThreadPool>(4);
-  for (size_t shards : kShardCounts) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    GBlenderSession plain(fixture.snapshot);
-    GBlenderSession sharded(fixture.snapshot,
-                            ShardedSnapshot::Make(fixture.snapshot, shards),
-                            pool);
-    std::map<NodeId, NodeId> plain_map, sharded_map;
-    auto add_edge = [&](GBlenderSession* session,
-                        std::map<NodeId, NodeId>* node_map, const Edge& edge) {
-      auto user_node = [&](NodeId n) {
-        auto it = node_map->find(n);
-        if (it != node_map->end()) return it->second;
-        NodeId u = session->AddNode(spec.graph.NodeLabel(n));
-        node_map->emplace(n, u);
-        return u;
-      };
-      return session->AddEdge(user_node(edge.u), user_node(edge.v),
-                              edge.label);
-    };
-    for (EdgeId e : spec.sequence) {
-      const Edge& edge = spec.graph.GetEdge(e);
-      ASSERT_TRUE(add_edge(&plain, &plain_map, edge).ok());
-      ASSERT_TRUE(add_edge(&sharded, &sharded_map, edge).ok());
-      // Every step's refined Rq must agree, not just the final one.
-      ASSERT_EQ(sharded.candidates(), plain.candidates());
-    }
-    Result<QueryResults> want = plain.Run();
-    Result<QueryResults> got = sharded.Run();
-    ASSERT_TRUE(want.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->exact, want->exact);
-    EXPECT_EQ(got->truncated, want->truncated);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SessionManager: shared view/pool, concurrent append, STATS exposure.
-
-TEST(ShardedSessionManagerTest, SharedViewServesIdenticalResults) {
+TEST(ShardedSessionManagerTest, SharedPoolServesOracleResults) {
   const auto& fixture = testing::AidsFixture::Get();
   const VisualQuerySpec& spec = SimilarAidsQuery();
   SessionManager plain(fixture.snapshot);
-  SessionManager sharded(fixture.snapshot, ShardedConfig(4));
+  PragueConfig config;
+  config.shards = 4;
+  SessionManager sharded(fixture.snapshot, config);
   EXPECT_EQ(plain.Stats().shards, 1u);
   EXPECT_EQ(sharded.Stats().shards, 4u);
   auto run = [&](SessionManager* manager) {
@@ -483,12 +660,15 @@ TEST(ShardedSessionManagerTest, SharedViewServesIdenticalResults) {
   Result<QueryResults> got = run(&sharded);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(got.ok());
+  ExpectMatchesOracle(Mode::kFallback, *got, PragueConfig().sigma);
   ExpectSameResults(*got, *want);
 }
 
 TEST(ShardedSessionManagerTest, PublishWhileQueryingKeepsOldSessionsStable) {
   const auto& tiny = testing::TinyFixture::Get();
-  SessionManager manager(tiny.snapshot, ShardedConfig(3));
+  PragueConfig config;
+  config.shards = 3;
+  SessionManager manager(tiny.snapshot, config);
   auto old_session = manager.Open();
   Graph q = testing::MakeGraph({kC, kC, kC, kS},
                                {{0, 1}, {1, 2}, {0, 2}, {0, 3}});
@@ -498,8 +678,9 @@ TEST(ShardedSessionManagerTest, PublishWhileQueryingKeepsOldSessionsStable) {
   });
   ASSERT_TRUE(before.ok());
 
-  // Concurrent appends race the old session's repeated runs; the pinned
-  // view must keep answering from the old partition.
+  // Concurrent appends race the old session's repeated runs; its shard
+  // ranges come from its pinned snapshot, so it keeps answering from the
+  // old graphs.
   std::thread appender([&] {
     for (int round = 0; round < 4; ++round) {
       std::vector<Graph> extra = {
