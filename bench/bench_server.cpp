@@ -40,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +50,7 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
+#include "percentile.h"
 #include "server/prague_client.h"
 #include "server/prague_server.h"
 #include "storage/fs_util.h"
@@ -222,14 +224,23 @@ void SessionSweep(PragueServer& server, const Workbench& bench,
 // speedup column is this cell's p50 against the shards=1 cell at the same
 // client count. Results are bit-identical across shard counts (the
 // determinism property of core/shard_exec.h), so the sweep measures pure
-// latency, not answer drift.
+// latency, not answer drift. Percentiles follow the benchmark's rule
+// (perfbench/percentile.h): one is reported only with ten samples beyond
+// it, else "n/a" (null in the JSON) — p50 needs 20 runs, p95 200.
 void ShardSweep(const Workbench& bench,
                 const std::vector<VisualQuerySpec>& queries,
                 BenchJsonWriter& json) {
-  constexpr size_t kShardSessionsPerClient = 6;
+  constexpr size_t kShardSessionsPerClient = 25;
+  auto fmt = [](std::optional<double> v, int digits) {
+    return v ? Fmt(*v, digits) : std::string("n/a");
+  };
+  auto json_num = [](std::optional<double> v, int digits) {
+    return v ? Fmt(*v, digits) : std::string("null");
+  };
   TablePrinter table({"shards", "clients", "runs", "runs/s", "p50 RTT (ms)",
                       "p95 RTT (ms)", "speedup p50"});
-  std::vector<std::pair<size_t, double>> baseline_p50;  // clients → shards=1
+  // clients → shards=1 p50
+  std::vector<std::pair<size_t, std::optional<double>>> baseline_p50;
   for (size_t shards : {1u, 2u, 4u, 8u}) {
     PragueConfig config;
     config.shards = shards;
@@ -263,30 +274,37 @@ void ShardSweep(const Workbench& bench,
       for (const auto& per_client : latencies) {
         all.insert(all.end(), per_client.begin(), per_client.end());
       }
-      std::sort(all.begin(), all.end());
-      const size_t runs = clients * kShardSessionsPerClient;
+      const size_t runs = all.size();
       const double run_rate = static_cast<double>(runs) / seconds;
-      const double p50 = Percentile(all, 0.50) * 1000;
-      const double p95 = Percentile(all, 0.95) * 1000;
-      double speedup = 1.0;
+      auto ms = [&](double p) -> std::optional<double> {
+        std::optional<double> s = prague::perfbench::Percentile(all, p);
+        if (s) *s *= 1000;
+        return s;
+      };
+      const std::optional<double> p50 = ms(0.50);
+      const std::optional<double> p95 = ms(0.95);
+      std::optional<double> speedup;
       if (shards == 1) {
         baseline_p50.emplace_back(clients, p50);
+        if (p50) speedup = 1.0;
       } else {
         for (const auto& [base_clients, base_p50] : baseline_p50) {
-          if (base_clients == clients && p50 > 0) speedup = base_p50 / p50;
+          if (base_clients == clients && base_p50 && p50 && *p50 > 0) {
+            speedup = *base_p50 / *p50;
+          }
         }
       }
       table.AddRow({std::to_string(shards), std::to_string(clients),
-                    std::to_string(runs), Fmt(run_rate, 1), Fmt(p50, 3),
-                    Fmt(p95, 3), Fmt(speedup, 2)});
+                    std::to_string(runs), Fmt(run_rate, 1), fmt(p50, 3),
+                    fmt(p95, 3), fmt(speedup, 2)});
       json.Add("{\"phase\": \"shards\", \"shards\": " +
                std::to_string(shards) +
                ", \"clients\": " + std::to_string(clients) +
                ", \"runs\": " + std::to_string(runs) +
                ", \"runs_per_sec\": " + Fmt(run_rate, 2) +
-               ", \"run_p50_ms\": " + Fmt(p50, 4) +
-               ", \"run_p95_ms\": " + Fmt(p95, 4) +
-               ", \"speedup_p50\": " + Fmt(speedup, 3) +
+               ", \"run_p50_ms\": " + json_num(p50, 4) +
+               ", \"run_p95_ms\": " + json_num(p95, 4) +
+               ", \"speedup_p50\": " + json_num(speedup, 3) +
                ", \"truncated\": " + std::to_string(truncated.load()) + "}");
     }
     server.Stop();

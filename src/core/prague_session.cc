@@ -358,8 +358,8 @@ Result<QueryResults> PragueSession::Run(const Deadline& deadline,
     Status shard_error;
     results.similar = ShardedSimilarRun(
         q, spigs_, cands, config_.sigma, snap_->db(), exact_rq,
-        &local.similar, config_.top_k, config_.filtering_verifier, deadline,
-        plan, &gen_cut, &trace, &shard_error);
+        &local.similar, config_.top_k, deadline, plan, &gen_cut, &trace,
+        &shard_error);
     if (!shard_error.ok()) return shard_error;
     local.similarity_seconds = sim_span.Stop();
     obs::EngineMetrics::Get().similar_generation_us->Record(
@@ -420,10 +420,10 @@ Result<QueryResults> PragueSession::Run(const Deadline& deadline,
   }
   local.nodes_expanded += local.similar.nodes_expanded;
   local.srt_seconds = timer.ElapsedSeconds();
-  // Phase intervals are disjoint sub-intervals of the Run() wall clock, and
-  // Stopwatch truncates to whole microseconds, so a sum of floors can never
-  // exceed the floor of the total — the breakdown always accounts for at
-  // most the SRT. The epsilon only absorbs double-addition rounding.
+  // Phase intervals are disjoint sub-intervals of the Run() wall clock and
+  // Stopwatch counts whole steady-clock nanoseconds, so the phase tick
+  // counts sum to at most the total's — the breakdown always accounts for
+  // at most the SRT. The epsilon only absorbs double rounding.
   assert(local.candidate_seconds + local.verification_seconds +
              local.similarity_seconds <=
          local.srt_seconds + 1e-9);

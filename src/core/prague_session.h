@@ -51,10 +51,6 @@ struct PragueConfig {
   /// refreshes only compute vertices created by the current step. Same
   /// answers either way; false forces the cold path (benchmarking).
   bool candidate_memo = true;
-  /// Run MCCS checks behind FilteringVerifier's label/degree prefilters
-  /// (graph/verifier.h). Same answers, fewer VF2 calls; off by default to
-  /// match the paper's plain SimVerify.
-  bool filtering_verifier = false;
   /// Default Run() budget in milliseconds; 0 = unbounded. On expiry Run()
   /// degrades gracefully: it returns the prefix of the results decided
   /// before the cut and sets QueryResults::truncated plus the RunStats

@@ -1,11 +1,9 @@
 #include "core/results.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_set>
 
-#include "graph/verifier.h"
-#include "graph/vf2.h"
+#include "graph/edge_signature.h"
 
 namespace prague {
 
@@ -30,14 +28,16 @@ std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
   const bool bounded = deadline.CanExpire();
   VerificationOutcome local;
   std::vector<GraphId> out;
+  const EdgeSignature q_sig(q);
+  ContainmentCounters counters;
   for (GraphId gid : rq) {
     if (bounded && deadline.Expired()) {
       local.truncated = true;
       break;
     }
     bool cut = false;
-    bool found = IsSubgraphIsomorphic(q, db.graph(gid), deadline, &cut,
-                                      &local.nodes_expanded);
+    bool found = Contains(q, q_sig, db.graph(gid), db.signature(gid),
+                          deadline, &cut, &counters);
     if (cut) {
       local.truncated = true;  // verdict unknown: stop before recording it
       break;
@@ -45,44 +45,50 @@ std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
     ++local.checked;
     if (found) out.push_back(gid);
   }
+  local.nodes_expanded = counters.nodes_expanded;
   if (outcome != nullptr) *outcome = local;
   return out;
 }
 
 namespace {
 
+// One distinct level-i query subgraph and its edge-label signature.
+struct LevelFragment {
+  const Graph* graph = nullptr;
+  EdgeSignature signature;
+};
+
 // Distinct (by canonical code) level-i query subgraphs, pulled from the
 // SPIG set — the union of level-i vertices across SPIGs is exactly the set
-// of connected i-edge subgraphs of q.
-std::vector<const Graph*> DistinctLevelFragments(const SpigSet& spigs,
-                                                 int level) {
-  std::vector<const Graph*> out;
+// of connected i-edge subgraphs of q — each with its signature, taken once
+// per level.
+std::vector<LevelFragment> DistinctLevelFragments(const SpigSet& spigs,
+                                                  int level) {
+  std::vector<LevelFragment> out;
   std::unordered_set<CanonicalCode> seen;
   spigs.ForEachVertexAtLevel(level, [&](const Spig&, const SpigVertex& v) {
-    if (seen.insert(v.code).second) out.push_back(&v.fragment);
+    if (seen.insert(v.code).second) {
+      out.push_back({&v.fragment, EdgeSignature(v.fragment)});
+    }
   });
   return out;
 }
 
-// SimVerify for one data graph at one level: mccs(g, q) ≥ level?
-// When the verifier's deadline cuts a search the verdict is unknown;
-// we stop trying further fragments (the caller detects the cut via the
-// deadline and treats the candidate as undecided, not rejected).
-bool SimVerify(const std::vector<const Graph*>& level_fragments,
-               const Graph& g, SimilarGenStats* stats,
-               Verifier* verifier) {
-  for (const Graph* fragment : level_fragments) {
-    size_t before_calls = verifier->stats().vf2_calls;
-    size_t before_nodes = verifier->stats().nodes_expanded;
-    size_t before_cuts = verifier->stats().deadline_hits;
-    bool hit = verifier->Matches(*fragment, g);
-    if (stats != nullptr) {
-      stats->vf2_calls += verifier->stats().vf2_calls - before_calls;
-      stats->nodes_expanded +=
-          verifier->stats().nodes_expanded - before_nodes;
+// SimVerify for one data graph at one level: mccs(g, q) ≥ level? Each
+// fragment is tried behind the signature test. When the deadline cuts a
+// search the verdict is unknown; we stop trying further fragments (the
+// caller detects the cut via the deadline and treats the candidate as
+// undecided, not rejected).
+bool SimVerify(const std::vector<LevelFragment>& level_fragments,
+               const Graph& g, const EdgeSignature& g_sig,
+               const Deadline& deadline, ContainmentCounters* counters) {
+  for (const LevelFragment& fragment : level_fragments) {
+    bool cut = false;
+    if (Contains(*fragment.graph, fragment.signature, g, g_sig, deadline,
+                 &cut, counters)) {
+      return true;
     }
-    if (hit) return true;
-    if (verifier->stats().deadline_hits != before_cuts) return false;
+    if (cut) return false;
   }
   return false;
 }
@@ -92,11 +98,8 @@ bool SimVerify(const std::vector<const Graph*>& level_fragments,
 std::vector<SimilarMatch> SimilarResultsGen(
     const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
     int sigma, const GraphDatabase& db, const IdSet* exact_rq,
-    SimilarGenStats* stats, size_t top_k, bool filtering_verifier,
-    const Deadline& deadline, bool* truncated, SimilarGenCut* cut_pos) {
-  std::unique_ptr<Verifier> verifier =
-      MakeVerifier(filtering_verifier ? "filtering" : "plain");
-  verifier->SetDeadline(deadline);
+    SimilarGenStats* stats, size_t top_k, const Deadline& deadline,
+    bool* truncated, SimilarGenCut* cut_pos) {
   const bool bounded = deadline.CanExpire();
   std::vector<SimilarMatch> results;
   IdSet seen;
@@ -141,13 +144,19 @@ std::vector<SimilarMatch> SimilarResultsGen(
     if (ver_it != cands.ver.end()) {
       IdSet pending = ver_it->second.Subtract(seen);
       if (!pending.empty()) {
-        std::vector<const Graph*> fragments =
+        std::vector<LevelFragment> fragments =
             DistinctLevelFragments(spigs, level);
         for (GraphId gid : pending) {
           if (full()) return results;
           if (bounded && deadline.Expired()) return cut(distance, true);
-          if (SimVerify(fragments, db.graph(gid), stats,
-                        verifier.get())) {
+          ContainmentCounters counters;
+          bool hit = SimVerify(fragments, db.graph(gid), db.signature(gid),
+                               deadline, &counters);
+          if (stats != nullptr) {
+            stats->vf2_calls += counters.vf2_calls;
+            stats->nodes_expanded += counters.nodes_expanded;
+          }
+          if (hit) {
             results.push_back(SimilarMatch{gid, distance, true});
             seen.Insert(gid);
             if (stats != nullptr) ++stats->verified;

@@ -54,7 +54,7 @@ struct SimilarGenStats {
   size_t verification_free = 0;  ///< matches accepted from Rfree
   size_t verified = 0;           ///< Rver candidates that passed SimVerify
   size_t rejected = 0;           ///< Rver candidates that failed
-  size_t vf2_calls = 0;          ///< VF2 invocations spent verifying
+  size_t vf2_calls = 0;          ///< VF2 searches run past the signature test
   size_t nodes_expanded = 0;     ///< VF2 expansion steps spent verifying
 };
 
@@ -113,8 +113,9 @@ struct VerificationOutcome {
 };
 
 /// \brief Subgraph-isomorphism verification of the containment candidate
-/// set Rq; returns the ids of true matches, ascending. Under a bounded
-/// \p deadline the scan stops at the first undecided candidate and
+/// set Rq; returns the ids of true matches, ascending. Each candidate is
+/// tested against q's edge-label signature before VF2 runs on it. Under a
+/// bounded \p deadline the scan stops at the first undecided candidate and
 /// \p outcome (optional) reports the cut. Parallelism lives one level up,
 /// in the shard scatter (core/shard_exec.h).
 std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
@@ -129,9 +130,9 @@ std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
 /// set — the paper's pseudo-code starts at |q|−1 and would miss them).
 /// \p stats may be null. A non-zero \p top_k truncates the result list to
 /// the k most-similar matches (sound because results are generated in
-/// non-decreasing distance order). When \p filtering_verifier is set the
-/// MCCS checks run behind FilteringVerifier's label/degree prefilters
-/// (same answers, fewer VF2 calls — see graph/verifier.h). Under a bounded
+/// non-decreasing distance order). Every containment check — the MCCS
+/// checks and the distance-0 verification — runs VF2 only behind the
+/// edge-label signature test (graph/edge_signature.h). Under a bounded
 /// \p deadline generation stops at the first undecided candidate — because
 /// results are produced in non-decreasing distance order, what is returned
 /// is a prefix of the unbounded result list — and \p truncated (optional)
@@ -140,7 +141,7 @@ std::vector<GraphId> ExactVerification(const Graph& q, const IdSet& rq,
 std::vector<SimilarMatch> SimilarResultsGen(
     const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
     int sigma, const GraphDatabase& db, const IdSet* exact_rq,
-    SimilarGenStats* stats, size_t top_k = 0, bool filtering_verifier = false,
+    SimilarGenStats* stats, size_t top_k = 0,
     const Deadline& deadline = Deadline(), bool* truncated = nullptr,
     SimilarGenCut* cut_pos = nullptr);
 

@@ -189,9 +189,9 @@ std::vector<SimilarMatch> MergeShardSimilar(
 std::vector<SimilarMatch> ShardedSimilarRun(
     const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
     int sigma, const GraphDatabase& db, const IdSet* exact_rq,
-    SimilarGenStats* stats, size_t top_k, bool filtering_verifier,
-    const Deadline& deadline, const ShardPlan& plan, bool* truncated,
-    obs::RunTrace* trace, Status* error) {
+    SimilarGenStats* stats, size_t top_k, const Deadline& deadline,
+    const ShardPlan& plan, bool* truncated, obs::RunTrace* trace,
+    Status* error) {
   const size_t count = plan.shard_count();
   std::vector<ShardSimilarPartial> partials(count);
   std::vector<double> seconds(count);
@@ -207,7 +207,7 @@ std::vector<SimilarMatch> ShardedSimilarRun(
         p.matches = SimilarResultsGen(
             q, spigs, cands.Restrict(range.begin, range.end), sigma, db,
             exact_rq != nullptr ? &exact_slice : nullptr, &p.stats, top_k,
-            filtering_verifier, deadline, &p.truncated, &p.cut);
+            deadline, &p.truncated, &p.cut);
         seconds[s] = timer.ElapsedSeconds();
       });
     }

@@ -119,8 +119,8 @@ std::vector<GraphId> ShardedExactVerification(
 std::vector<SimilarMatch> ShardedSimilarRun(
     const Graph& q, const SpigSet& spigs, const SimilarCandidates& cands,
     int sigma, const GraphDatabase& db, const IdSet* exact_rq,
-    SimilarGenStats* stats, size_t top_k, bool filtering_verifier,
-    const Deadline& deadline, const ShardPlan& plan, bool* truncated,
+    SimilarGenStats* stats, size_t top_k, const Deadline& deadline,
+    const ShardPlan& plan, bool* truncated,
     obs::RunTrace* trace = nullptr, Status* error = nullptr);
 
 }  // namespace prague

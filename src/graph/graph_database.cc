@@ -37,27 +37,31 @@ std::vector<std::string> LabelDictionary::SortedNames() const {
 }
 
 GraphId GraphDatabase::Add(Graph g) {
-  graphs_.push_back(std::make_shared<const Graph>(std::move(g)));
+  EdgeSignature signature(g);
+  graphs_.push_back(std::make_shared<const Stored>(
+      Stored{std::move(g), std::move(signature)}));
   return static_cast<GraphId>(graphs_.size() - 1);
 }
 
 double GraphDatabase::AverageEdgeCount() const {
   if (graphs_.empty()) return 0;
   size_t total = 0;
-  for (const auto& g : graphs_) total += g->EdgeCount();
+  for (const auto& g : graphs_) total += g->graph.EdgeCount();
   return static_cast<double>(total) / static_cast<double>(graphs_.size());
 }
 
 double GraphDatabase::AverageNodeCount() const {
   if (graphs_.empty()) return 0;
   size_t total = 0;
-  for (const auto& g : graphs_) total += g->NodeCount();
+  for (const auto& g : graphs_) total += g->graph.NodeCount();
   return static_cast<double>(total) / static_cast<double>(graphs_.size());
 }
 
 size_t GraphDatabase::ByteSize() const {
   size_t bytes = 0;
-  for (const auto& g : graphs_) bytes += g->ByteSize();
+  for (const auto& g : graphs_) {
+    bytes += g->graph.ByteSize() + g->signature.ByteSize();
+  }
   return bytes;
 }
 

@@ -2,11 +2,13 @@
 // maps human-readable label strings (e.g. atom symbols "C", "N", "O") to
 // dense Label ids. Panel 2 of the paper's GUI lists exactly these labels.
 //
-// Data graphs are held through shared_ptr<const Graph>: copying a
-// GraphDatabase copies only the pointer vector and the dictionary, sharing
-// every graph's storage with the original. Versioned snapshots
+// Data graphs are held through shared pointers: copying a GraphDatabase
+// copies only the pointer vector and the dictionary, sharing every graph's
+// storage with the original. Versioned snapshots
 // (index/database_snapshot.h) rely on this — a successor database built by
-// AppendGraphs shares all pre-existing graphs structurally.
+// AppendGraphs shares all pre-existing graphs structurally. Each graph's
+// edge-label signature (graph/edge_signature.h) is computed once, in Add(),
+// and shared the same way; it is derived state and never persisted.
 
 #ifndef PRAGUE_GRAPH_GRAPH_DATABASE_H_
 #define PRAGUE_GRAPH_GRAPH_DATABASE_H_
@@ -16,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graph/edge_signature.h"
 #include "graph/graph.h"
 #include "util/id_set.h"
 #include "util/result.h"
@@ -53,7 +56,8 @@ class GraphDatabase {
  public:
   GraphDatabase() = default;
 
-  /// \brief Adds a data graph; returns its id.
+  /// \brief Adds a data graph, computing its edge-label signature; returns
+  /// its id.
   GraphId Add(Graph g);
 
   /// \brief Number of data graphs — the paper's |D|.
@@ -62,12 +66,16 @@ class GraphDatabase {
   bool empty() const { return graphs_.empty(); }
 
   /// \brief Data graph by id.
-  const Graph& graph(GraphId id) const { return *graphs_[id]; }
+  const Graph& graph(GraphId id) const { return graphs_[id]->graph; }
+  /// \brief Edge-label signature of data graph \p id.
+  const EdgeSignature& signature(GraphId id) const {
+    return graphs_[id]->signature;
+  }
   /// \brief Shared ownership of one data graph. Two databases returning
   /// the same pointer share that graph's storage (the structural-sharing
   /// invariant snapshot tests assert).
-  const std::shared_ptr<const Graph>& shared_graph(GraphId id) const {
-    return graphs_[id];
+  std::shared_ptr<const Graph> shared_graph(GraphId id) const {
+    return {graphs_[id], &graphs_[id]->graph};
   }
 
   /// \brief Mutable label dictionary (generators intern through this).
@@ -86,7 +94,13 @@ class GraphDatabase {
   size_t ByteSize() const;
 
  private:
-  std::vector<std::shared_ptr<const Graph>> graphs_;
+  // One data graph and the state derived from it on entry.
+  struct Stored {
+    Graph graph;
+    EdgeSignature signature;
+  };
+
+  std::vector<std::shared_ptr<const Stored>> graphs_;
   LabelDictionary labels_;
 };
 

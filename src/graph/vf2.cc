@@ -5,117 +5,130 @@
 
 namespace prague {
 
-Vf2Matcher::Vf2Matcher(const Graph& pattern, const Graph& target)
-    : pattern_(pattern), target_(target) {
+void Vf2Search::Prepare(const Graph& pattern, const Graph& target) {
+  pattern_ = &pattern;
+  target_ = &target;
   // BFS order over the (connected) pattern so every non-root search node is
   // anchored to an already-mapped neighbor — this keeps the candidate set
   // for each step at "neighbors of one mapped image" instead of "all
   // target nodes".
-  size_t n = pattern_.NodeCount();
-  order_.reserve(n);
+  const size_t n = pattern.NodeCount();
+  order_.clear();
   anchor_.assign(n, kInvalidNode);
+  map_.assign(n, kInvalidNode);
   if (n == 0) return;
-  std::vector<bool> queued(n, false);
   // Start from the highest-degree node: it is the most constrained.
   NodeId root = 0;
   for (NodeId i = 1; i < n; ++i) {
-    if (pattern_.Degree(i) > pattern_.Degree(root)) root = i;
+    if (pattern.Degree(i) > pattern.Degree(root)) root = i;
   }
+  // map_ doubles as the BFS "queued" mark here; Search() resets it.
   order_.push_back(root);
-  queued[root] = true;
+  map_[root] = root;
   for (size_t head = 0; head < order_.size(); ++head) {
     NodeId u = order_[head];
-    for (const Adjacency& a : pattern_.Neighbors(u)) {
-      if (!queued[a.neighbor]) {
-        queued[a.neighbor] = true;
+    for (const Adjacency& a : pattern.Neighbors(u)) {
+      if (map_[a.neighbor] == kInvalidNode) {
+        map_[a.neighbor] = a.neighbor;
         anchor_[a.neighbor] = u;
         order_.push_back(a.neighbor);
       }
     }
   }
   assert(order_.size() == n && "pattern must be connected");
-  map_.assign(n, kInvalidNode);
-  target_used_.assign(target_.NodeCount(), false);
 }
 
-bool Vf2Matcher::Feasible(NodeId pattern_node, NodeId target_node) const {
-  if (pattern_.NodeLabel(pattern_node) != target_.NodeLabel(target_node)) {
+bool Vf2Search::Feasible(NodeId pattern_node, NodeId target_node) const {
+  if (pattern_->NodeLabel(pattern_node) != target_->NodeLabel(target_node)) {
     return false;
   }
-  if (target_.Degree(target_node) < pattern_.Degree(pattern_node)) {
+  if (target_->Degree(target_node) < pattern_->Degree(pattern_node)) {
     return false;
   }
   // Every already-mapped pattern neighbor must be adjacent in the target
   // with a matching edge label.
-  for (const Adjacency& a : pattern_.Neighbors(pattern_node)) {
+  for (const Adjacency& a : pattern_->Neighbors(pattern_node)) {
     NodeId image = map_[a.neighbor];
     if (image == kInvalidNode) continue;
-    EdgeId te = target_.FindEdge(target_node, image);
+    EdgeId te = target_->FindEdge(target_node, image);
     if (te == kInvalidEdge) return false;
-    if (target_.GetEdge(te).label != pattern_.GetEdge(a.edge).label) {
+    if (target_->GetEdge(te).label != pattern_->GetEdge(a.edge).label) {
       return false;
     }
   }
   return true;
 }
 
-void Vf2Matcher::SetDeadline(const Deadline& deadline) {
-  deadline_ = deadline;
+bool Vf2Search::Extend(size_t depth, NodeId p, NodeId t) {
+  ++nodes_expanded_;
+  if (checker_.Check()) {
+    deadline_hit_ = true;
+    return false;
+  }
+  if (target_used_[t] || !Feasible(p, t)) return true;
+  map_[p] = t;
+  target_used_[t] = 1;
+  bool exhausted = Recurse(depth + 1);
+  target_used_[t] = 0;
+  map_[p] = kInvalidNode;
+  return exhausted;
 }
 
-bool Vf2Matcher::Recurse(size_t depth,
-                         const std::function<bool(const NodeMapping&)>& fn) {
-  if (depth == order_.size()) return fn(map_);
-  NodeId p = order_[depth];
+bool Vf2Search::Recurse(size_t depth) {
+  if (depth == order_.size()) {
+    if (visit_ == nullptr) {
+      found_ = true;
+      return false;  // stop at the first match
+    }
+    return (*visit_)(map_);
+  }
+  const NodeId p = order_[depth];
   if (anchor_[p] == kInvalidNode) {
     // Root: try every target node.
-    for (NodeId t = 0; t < target_.NodeCount(); ++t) {
-      ++nodes_expanded_;
-      if (checker_.Check()) {
-        deadline_hit_ = true;
-        return false;
-      }
-      if (target_used_[t] || !Feasible(p, t)) continue;
-      map_[p] = t;
-      target_used_[t] = true;
-      bool exhausted = Recurse(depth + 1, fn);
-      target_used_[t] = false;
-      map_[p] = kInvalidNode;
-      if (!exhausted) return false;
+    for (NodeId t = 0; t < target_->NodeCount(); ++t) {
+      if (!Extend(depth, p, t)) return false;
     }
   } else {
     // Candidates: neighbors of the anchor's image.
-    NodeId anchor_image = map_[anchor_[p]];
-    for (const Adjacency& a : target_.Neighbors(anchor_image)) {
-      ++nodes_expanded_;
-      if (checker_.Check()) {
-        deadline_hit_ = true;
-        return false;
-      }
-      NodeId t = a.neighbor;
-      if (target_used_[t] || !Feasible(p, t)) continue;
-      map_[p] = t;
-      target_used_[t] = true;
-      bool exhausted = Recurse(depth + 1, fn);
-      target_used_[t] = false;
-      map_[p] = kInvalidNode;
-      if (!exhausted) return false;
+    for (const Adjacency& a : target_->Neighbors(map_[anchor_[p]])) {
+      if (!Extend(depth, p, a.neighbor)) return false;
     }
   }
   return true;
 }
 
-bool Vf2Matcher::Exists() {
-  if (pattern_.NodeCount() > target_.NodeCount() ||
-      pattern_.EdgeCount() > target_.EdgeCount()) {
-    return false;
+bool Vf2Search::Search(const Deadline& deadline,
+                       const std::function<bool(const NodeMapping&)>* visit) {
+  found_ = false;
+  deadline_hit_ = false;
+  nodes_expanded_ = 0;
+  if (pattern_->NodeCount() == 0 ||
+      pattern_->NodeCount() > target_->NodeCount() ||
+      pattern_->EdgeCount() > target_->EdgeCount()) {
+    return true;  // empty search space, trivially exhausted
   }
-  bool found = false;
-  ForEach([&found](const NodeMapping&) {
-    found = true;
-    return false;  // stop at the first match
-  });
-  return found;
+  visit_ = visit;
+  std::fill(map_.begin(), map_.end(), kInvalidNode);
+  if (target_used_.size() < target_->NodeCount()) {
+    target_used_.resize(target_->NodeCount(), 0);
+  }
+  checker_ = DeadlineChecker(deadline);
+  return Recurse(0);
+}
+
+Vf2Matcher::Vf2Matcher(const Graph& pattern, const Graph& target) {
+  search_.Prepare(pattern, target);
+}
+
+bool Vf2Matcher::Run(const std::function<bool(const NodeMapping&)>* visit) {
+  bool exhausted = search_.Search(deadline_, visit);
+  nodes_expanded_ += search_.nodes_expanded();
+  return exhausted;
+}
+
+bool Vf2Matcher::Exists() {
+  Run(nullptr);
+  return search_.found();
 }
 
 size_t Vf2Matcher::Count(size_t limit) {
@@ -128,31 +141,22 @@ size_t Vf2Matcher::Count(size_t limit) {
 }
 
 bool Vf2Matcher::ForEach(const std::function<bool(const NodeMapping&)>& fn) {
-  if (pattern_.NodeCount() == 0 ||
-      pattern_.NodeCount() > target_.NodeCount() ||
-      pattern_.EdgeCount() > target_.EdgeCount()) {
-    return true;  // empty search space, trivially exhausted
-  }
-  std::fill(map_.begin(), map_.end(), kInvalidNode);
-  std::fill(target_used_.begin(), target_used_.end(), false);
-  deadline_hit_ = false;
-  checker_ = DeadlineChecker(deadline_);
-  return Recurse(0, fn);
+  return Run(&fn);
 }
 
 bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target) {
-  return Vf2Matcher(pattern, target).Exists();
+  return IsSubgraphIsomorphic(pattern, target, Deadline());
 }
 
 bool IsSubgraphIsomorphic(const Graph& pattern, const Graph& target,
                           const Deadline& deadline, bool* deadline_hit,
                           size_t* nodes_expanded) {
-  Vf2Matcher matcher(pattern, target);
-  matcher.SetDeadline(deadline);
-  bool found = matcher.Exists();
-  if (deadline_hit != nullptr) *deadline_hit = matcher.deadline_hit();
-  if (nodes_expanded != nullptr) *nodes_expanded += matcher.nodes_expanded();
-  return found;
+  thread_local Vf2Search search;
+  search.Prepare(pattern, target);
+  search.Search(deadline, nullptr);
+  if (deadline_hit != nullptr) *deadline_hit = search.deadline_hit();
+  if (nodes_expanded != nullptr) *nodes_expanded += search.nodes_expanded();
+  return search.found();
 }
 
 bool AreIsomorphic(const Graph& a, const Graph& b) {

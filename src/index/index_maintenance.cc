@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "graph/code_memo.h"
+#include "graph/edge_signature.h"
 #include "graph/subgraph_ops.h"
-#include "graph/verifier.h"
 #include "graph/vf2.h"
 
 namespace prague {
@@ -332,7 +332,18 @@ Result<MaintenanceReport> AppendGraphs(GraphDatabase* db,
   report.graphs_added = graphs.size();
   std::vector<A2fId> order = SizeAscendingOrder(indexes->a2f);
   std::vector<std::vector<A2fId>> dif_parents = DifParents(*indexes);
-  FilteringVerifier verifier;
+  // Fragment signatures, taken once for the whole batch; each probe runs
+  // VF2 only when the fragment's signature fits in the appended graph's.
+  std::vector<EdgeSignature> a2f_sigs;
+  a2f_sigs.reserve(indexes->a2f.VertexCount());
+  for (A2fId id = 0; id < indexes->a2f.VertexCount(); ++id) {
+    a2f_sigs.emplace_back(indexes->a2f.vertex(id).fragment);
+  }
+  std::vector<EdgeSignature> a2i_sigs;
+  a2i_sigs.reserve(indexes->a2i.EntryCount());
+  for (A2iId d = 0; d < indexes->a2i.EntryCount(); ++d) {
+    a2i_sigs.emplace_back(indexes->a2i.entry(d).fragment);
+  }
 
   // contains[f] for the graph currently being processed.
   std::vector<char> contains(indexes->a2f.VertexCount(), 0);
@@ -341,6 +352,7 @@ Result<MaintenanceReport> AppendGraphs(GraphDatabase* db,
   for (Graph& graph : graphs) {
     GraphId gid = db->Add(std::move(graph));
     const Graph& g = db->graph(gid);
+    const EdgeSignature& g_sig = db->signature(gid);
     std::fill(contains.begin(), contains.end(), 0);
 
     // A2F sweep, size ascending with anti-monotone pruning: skip the VF2
@@ -359,7 +371,7 @@ Result<MaintenanceReport> AppendGraphs(GraphDatabase* db,
         continue;
       }
       ++report.probes;
-      if (verifier.Matches(v.fragment, g)) {
+      if (Contains(v.fragment, a2f_sigs[id], g, g_sig, Deadline())) {
         contains[id] = 1;
         indexes->a2f.AddFsgId(id, gid);
       }
@@ -378,7 +390,8 @@ Result<MaintenanceReport> AppendGraphs(GraphDatabase* db,
         continue;
       }
       ++report.probes;
-      if (verifier.Matches(indexes->a2i.entry(d).fragment, g)) {
+      if (Contains(indexes->a2i.entry(d).fragment, a2i_sigs[d], g, g_sig,
+                   Deadline())) {
         indexes->a2i.AddFsgId(d, gid);
       }
     }

@@ -50,7 +50,7 @@ struct RunTrace {
   const char* deadline_phase = "none";  ///< RunPhaseName of the cut
   double srt_seconds = 0;        ///< total Run() wall time
   size_t result_count = 0;       ///< matches returned
-  uint64_t vf2_calls = 0;        ///< VF2 invocations spent verifying
+  uint64_t vf2_calls = 0;        ///< SimVerify VF2 searches (signature passed)
   uint64_t nodes_expanded = 0;   ///< search expansion steps, all phases
   uint64_t candidates_pruned = 0;  ///< candidates verification rejected
   /// Phase spans in execution order. Formulation-time work (SPIG builds,

@@ -8,7 +8,7 @@
 
 namespace prague {
 
-/// \brief Monotonic stopwatch with microsecond resolution.
+/// \brief Monotonic stopwatch with nanosecond resolution.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
@@ -16,21 +16,25 @@ class Stopwatch {
   /// \brief Resets the start point to now.
   void Restart() { start_ = Clock::now(); }
 
-  /// \brief Microseconds elapsed since construction or last Restart().
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
+  /// \brief Nanoseconds elapsed since construction or last Restart().
+  int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                start_)
         .count();
   }
 
+  /// \brief Whole microseconds elapsed since construction or last
+  /// Restart().
+  int64_t ElapsedMicros() const { return ElapsedNanos() / 1000; }
+
   /// \brief Milliseconds elapsed, as a double (for reporting).
   double ElapsedMillis() const {
-    return static_cast<double>(ElapsedMicros()) / 1000.0;
+    return static_cast<double>(ElapsedNanos()) / 1e6;
   }
 
   /// \brief Seconds elapsed, as a double (for reporting).
   double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedMicros()) / 1e6;
+    return static_cast<double>(ElapsedNanos()) / 1e9;
   }
 
  private:

@@ -18,42 +18,13 @@
 
 #include "core/prague_session.h"
 #include "core/session_manager.h"
+#include "counting_allocator.h"
 #include "datasets/query_workload.h"
 #include "obs/labels.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "test_fixtures.h"
 #include "util/deadline.h"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: every operator new in the process bumps it,
-// so a test can assert that a code region allocates nothing.
-//
-// The replaced new/delete pair below is malloc/free-based and matched by
-// construction; GCC cannot see that when it inlines the operators and
-// warns on every delete in the binary, so the check is disabled here.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace prague {
 namespace {

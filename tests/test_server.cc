@@ -1019,6 +1019,10 @@ TEST_F(ServerFixture, ConcurrentClientsMatchReplayWhileAppenderPublishes) {
 // almost nothing, forcing the similarity path to MCCS-verify a huge
 // candidate set. test_cancellation's AidsFixture query finishes in under
 // a millisecond here, which cannot exercise deadlines over the wire.
+// Sessions run at σ = kHeavySigma: behind the edge-label signature test
+// the query's RUN takes ~3 ms at the default σ = 3, too close to the
+// tests' 2 ms cancel gap; σ = 5 widens the level range and brings it back
+// to tens of milliseconds.
 struct HeavyWireFixture {
   GraphDatabase db;
   MiningResult mined;
@@ -1066,11 +1070,15 @@ struct HeavyWireFixture {
 
 const VisualQuerySpec& HeavyAidsQuery() { return HeavyWireFixture::Get().query; }
 
+constexpr int kHeavySigma = 5;
+
 class HeavyServerFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto& fixture = HeavyWireFixture::Get();
-    manager_ = std::make_unique<SessionManager>(fixture.snapshot);
+    PragueConfig config;
+    config.sigma = kHeavySigma;
+    manager_ = std::make_unique<SessionManager>(fixture.snapshot, config);
     server_ = std::make_unique<PragueServer>(manager_.get(),
                                              PragueServerOptions{});
     ASSERT_TRUE(server_->Start().ok());

@@ -15,10 +15,31 @@
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace prague {
 namespace {
+
+TEST(StopwatchTest, ResolvesSubMicrosecondIntervals) {
+  // Reading a fresh stopwatch takes well under a microsecond on a
+  // nanosecond steady clock; a whole-microsecond stopwatch reads 0 here.
+  bool sub_micro = false;
+  for (int i = 0; i < 1000 && !sub_micro; ++i) {
+    Stopwatch timer;
+    const double s = timer.ElapsedSeconds();
+    sub_micro = s > 0 && s < 1e-6;
+  }
+  EXPECT_TRUE(sub_micro);
+}
+
+TEST(StopwatchTest, UnitsAgree) {
+  Stopwatch timer;
+  const int64_t ns = timer.ElapsedNanos();
+  EXPECT_GE(ns, 0);
+  EXPECT_GE(timer.ElapsedMicros(), ns / 1000);
+  EXPECT_GE(timer.ElapsedSeconds(), static_cast<double>(ns) / 1e9);
+}
 
 TEST(StatusTest, DefaultIsOk) {
   Status st;

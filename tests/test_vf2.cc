@@ -1,9 +1,13 @@
 // VF2 correctness: hand cases plus property sweeps against the exhaustive
-// brute-force oracle on random small graphs.
+// brute-force oracle on random small graphs, and the kernel's
+// allocation-free contract: once its per-thread scratch has grown to a
+// pair's size, a containment check makes no heap allocation.
 
 #include <gtest/gtest.h>
 
+#include "counting_allocator.h"
 #include "graph/brute_force_iso.h"
+#include "graph/edge_signature.h"
 #include "graph/graph.h"
 #include "graph/subgraph_ops.h"
 #include "graph/vf2.h"
@@ -179,19 +183,26 @@ TEST(Vf2Test, IsomorphismCheck) {
 
 // --- Property sweep: VF2 ≡ brute force on random labeled graphs. ---
 
+// Edge labels are drawn from [0, edge_label_count) when that exceeds 1;
+// otherwise every edge carries label 0 and no randomness is spent on it.
 Graph RandomConnectedGraph(Rng* rng, size_t nodes, size_t extra_edges,
-                           size_t label_count) {
+                           size_t label_count, size_t edge_label_count = 1) {
   GraphBuilder b;
   for (size_t i = 0; i < nodes; ++i) {
     b.AddNode(static_cast<Label>(rng->Below(label_count)));
   }
+  auto edge_label = [&]() -> Label {
+    return edge_label_count > 1
+               ? static_cast<Label>(rng->Below(edge_label_count))
+               : 0;
+  };
   for (NodeId i = 1; i < nodes; ++i) {
-    (void)b.AddEdge(i, static_cast<NodeId>(rng->Below(i)));
+    (void)b.AddEdge(i, static_cast<NodeId>(rng->Below(i)), edge_label());
   }
   for (size_t i = 0; i < extra_edges; ++i) {
     NodeId u = static_cast<NodeId>(rng->Below(nodes));
     NodeId v = static_cast<NodeId>(rng->Below(nodes));
-    if (u != v) (void)b.AddEdge(u, v);
+    if (u != v) (void)b.AddEdge(u, v, edge_label());
   }
   return std::move(b).Build();
 }
@@ -228,6 +239,66 @@ TEST_P(Vf2PropertyTest, SampledSubgraphAlwaysMatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Vf2PropertyTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+// Thousands of edge-labelled pairs of varying sizes through one thread's
+// reused scratch: verdicts and mapping counts must match the oracle
+// whatever size of pair the scratch last served.
+TEST(Vf2OracleTest, EdgeLabelledPairsAgreeWithBruteForce) {
+  Rng rng(4242);
+  size_t matches = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    Graph target = RandomConnectedGraph(&rng, 3 + rng.Below(7),
+                                        rng.Below(5), 3, 3);
+    Graph pattern = RandomConnectedGraph(&rng, 2 + rng.Below(4),
+                                         rng.Below(3), 3, 3);
+    const bool truth = BruteForceSubgraphIsomorphic(pattern, target);
+    matches += truth;
+    ASSERT_EQ(IsSubgraphIsomorphic(pattern, target, Deadline()), truth)
+        << "trial " << trial;
+    if (trial % 10 == 0) {
+      ASSERT_EQ(Vf2Matcher(pattern, target).Count(),
+                BruteForceCountMappings(pattern, target))
+          << "trial " << trial;
+    }
+  }
+  EXPECT_GT(matches, 0u);
+}
+
+TEST(Vf2AllocationTest, WarmContainmentCheckAllocatesNothing) {
+  Rng rng(99);
+  Graph big = RandomConnectedGraph(&rng, 40, 20, 2, 2);
+  Graph small_target = RandomConnectedGraph(&rng, 8, 3, 2, 2);
+  Graph pattern = RandomConnectedGraph(&rng, 5, 1, 2, 2);
+  Graph cycle = Cycle(600);
+  Graph triangle = MakeGraph({kC, kC, kC}, {{0, 1}, {1, 2}, {0, 2}});
+  const EdgeSignature big_sig(big), small_sig(small_target),
+      pattern_sig(pattern), cycle_sig(cycle), triangle_sig(triangle);
+  const Deadline expired = Deadline::AfterMillis(0);
+  ContainmentCounters counters;
+  bool cut = false;
+  auto check_all = [&] {
+    size_t hits = 0;
+    hits += Contains(pattern, pattern_sig, big, big_sig, Deadline(), &cut,
+                     &counters);
+    hits += Contains(pattern, pattern_sig, small_target, small_sig,
+                     Deadline(), &cut, &counters);
+    hits += Contains(triangle, triangle_sig, cycle, cycle_sig, Deadline(),
+                     &cut, &counters);
+    // A deadline-cut search unwinds through the same scratch.
+    hits += Contains(triangle, triangle_sig, cycle, cycle_sig, expired, &cut,
+                     &counters);
+    return hits;
+  };
+  const size_t warm_hits = check_all();  // grows the scratch
+  const uint64_t before = g_allocations.load();
+  size_t hits = 0;
+  for (int i = 0; i < 50; ++i) hits += check_all();
+  const uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_EQ(hits, 50 * warm_hits);
+  EXPECT_TRUE(cut);  // the last check was the expired one
+  EXPECT_GT(counters.vf2_calls, 0u);
+}
 
 }  // namespace
 }  // namespace prague
